@@ -420,8 +420,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", help="write the JSON report to this path "
                         "(delimited side files go next to it)")
     parser.add_argument("--serial", action="store_true",
-                        help="deterministic mode: fixed reduction order and "
-                        "nulled timings so reports are bit-reproducible")
+                        help="null the timings so that identical config and "
+                        "seed give identical report bytes")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)

@@ -20,6 +20,7 @@ states near c ~ 0.5.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -34,6 +35,21 @@ from .opcalc import OperatorExpression, evaluate_multiplication
 from .susy import DefectOperatorSet, ModelSpec
 
 DENSE_CUTOFF = 4000
+SHIFT = -0.5
+ORDERING = "MMD_AT_PLUS_A"
+
+# glibc raises its mmap threshold to the size of each mapped block that is
+# freed, up to 32 MiB, so after a few solves the factorization's arrays (a
+# few MB to tens of MB) come from the heap, and the holes earlier calls left
+# there stay resident.  Whether a factorization reuses them or grows the
+# heap depends on the order of earlier allocations: identical index runs on
+# the desk grid peaked at 156-165 MB or at 180-188 MB.  malloc_trim(0) before
+# each factorization drops the resident pages of every free hole, so the
+# peak is what is live.  None where the C library has no malloc_trim.
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 class AmbiguousGapWarning(UserWarning):
@@ -53,6 +69,9 @@ class EigenReport:
     hermiticity_defect: float
     method: str
     tol: float
+    ordering: Optional[str] = None
+    lu_fill: int = 0
+    n_solves: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,6 +84,9 @@ class EigenReport:
             "hermiticity_defect": self.hermiticity_defect,
             "method": self.method,
             "tol": self.tol,
+            "ordering": self.ordering,
+            "lu_fill": self.lu_fill,
+            "n_solves": self.n_solves,
         }
 
 
@@ -76,10 +98,24 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
 
     The matrix is symmetrized as (A + A*)/2 and the relative defect is
     recorded.  Below ``dense_cutoff`` unknowns a dense solve is used;
-    otherwise shift-invert Lanczos with a seeded start vector, which makes
-    repeated runs reproducible.  tol = 0 requests machine precision; loose
-    tolerances are refused the right to silently drop copies of degenerate
-    eigenvalues by a post-hoc residual bound check.
+    otherwise shift-invert Lanczos (ARPACK's Arnoldi for complex matrices)
+    at sigma = -0.5 with a seeded start vector, which makes repeated runs
+    reproducible.  tol = 0 requests machine precision; a post-hoc residual
+    bound check refuses eigenpairs that a loose tolerance left inaccurate.
+
+    The shifted matrix A + 0.5 I is factored once, explicitly, by SuperLU
+    with the minimum-degree ordering on the pattern of A^T + A, and every
+    shift-invert step is a solve with that factorization.  The stencils
+    give a structurally symmetric pattern, for which this ordering stores
+    about half the L+U entries of SuperLU's default column ordering
+    (COLAMD) from the desk grid (n = 96) up, so both the factorization and
+    each of the solves are cheaper.  The factorization is made in the
+    matrix's own dtype, the one ARPACK iterates in, so a real matrix never
+    meets a complex solve.  The report records the ordering, the number of
+    entries SuperLU stores for L and U (``lu_fill``) and the number of
+    solves.  Free C-heap pages are handed back to the system before the
+    factorization, so that the peak memory of a run does not depend on the
+    order of its earlier allocations.
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
@@ -98,6 +134,7 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     defect = (np.max(np.abs(defect_mat.data)) / scale) if defect_mat.nnz else 0.0
     herm = ((a + a_dag) * 0.5).tocsr()
 
+    ordering, lu_fill, n_solves = None, 0, 0
     if dim <= dense_cutoff:
         vals, vecs = np.linalg.eigh(herm.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
@@ -107,10 +144,22 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim)
         ncv = min(dim, max(4 * k_eff, 40))
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+        shifted = herm - SHIFT * sp.identity(dim, dtype=herm.dtype, format="csr")
+        lu = spla.splu(shifted.tocsc(), permc_spec=ORDERING)
+        ordering, lu_fill = ORDERING, int(lu.nnz)
+
+        def solve(x):
+            nonlocal n_solves
+            n_solves += 1
+            return lu.solve(x)
+
+        op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=herm.dtype)
         try:
-            vals, vecs = spla.eigsh(herm.tocsc(), k=k_eff, sigma=-0.5,
-                                    which="LM", v0=v0, tol=tol, ncv=ncv,
-                                    maxiter=maxiter)
+            vals, vecs = spla.eigsh(herm, k=k_eff, sigma=SHIFT, which="LM",
+                                    v0=v0, tol=tol, ncv=ncv, maxiter=maxiter,
+                                    OPinv=op_inv)
         except spla.ArpackNoConvergence as exc:
             raise SolverError(
                 f"eigensolver did not converge on {matrix_id or 'matrix'}: "
@@ -141,7 +190,8 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     return EigenReport(matrix_id=matrix_id, grid=grid, eigenvalues=eigenvalues,
                        vectors=fields, residuals=residuals,
                        residual_bound=residual_bound,
-                       hermiticity_defect=float(defect), method=method, tol=tol)
+                       hermiticity_defect=float(defect), method=method, tol=tol,
+                       ordering=ordering, lu_fill=lu_fill, n_solves=n_solves)
 
 
 def _mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -119,7 +120,11 @@ def compact_perturbation(spec: ModelSpec) -> BlockOperator:
 
 @dataclass(frozen=True)
 class DefectOperatorSet:
-    """Symbolic defect operators plus their matrices on one grid."""
+    """Symbolic defect operators plus their matrices on one grid.
+
+    Each matrix is discretized on first read and kept: an index run reads
+    only the two partner Hamiltonians, a convergence study only H_minus.
+    """
 
     model: Optional[ModelSpec]
     grid: GridSpec
@@ -128,36 +133,43 @@ class DefectOperatorSet:
     K: BlockOperator
     H_minus: BlockOperator
     H_plus: BlockOperator
-    D_mat: sp.csr_matrix
-    D_adj_mat: sp.csr_matrix
-    K_mat: sp.csr_matrix
-    H_minus_mat: sp.csr_matrix
-    H_plus_mat: sp.csr_matrix
 
     @property
     def mass_entry(self) -> OperatorExpression:
         """Holomorphic mass term (lower-left entry), used for winding."""
         return self.D.entry(1, 0)
 
+    @cached_property
+    def D_mat(self) -> sp.csr_matrix:
+        return discretize(self.D, self.grid)
+
+    @cached_property
+    def K_mat(self) -> sp.csr_matrix:
+        return discretize(self.K, self.grid)
+
+    @cached_property
+    def H_minus_mat(self) -> sp.csr_matrix:
+        return discretize(self.H_minus, self.grid)
+
+    @cached_property
+    def H_plus_mat(self) -> sp.csr_matrix:
+        return discretize(self.H_plus, self.grid)
+
+
+def _operator_set(model: Optional[ModelSpec], grid: GridSpec,
+                  dop: BlockOperator, k_op: BlockOperator) -> DefectOperatorSet:
+    dadj = adjoint(dop)
+    return DefectOperatorSet(model=model, grid=grid, D=dop, D_adj=dadj, K=k_op,
+                             H_minus=compose(dadj, dop), H_plus=compose(dop, dadj))
+
 
 def build_operator_set(spec: ModelSpec, grid: GridSpec) -> DefectOperatorSet:
     dop = build_defect_operator(spec)
-    dadj = adjoint(dop)
     k_op = compact_perturbation(spec)
     if any(not k_op.entry(i, j).is_zero
            for i in range(k_op.rows) for j in range(k_op.cols) if i >= j):
         raise ModelError("perturbation block is not strictly upper-triangular")
-    h_minus = compose(dadj, dop)
-    h_plus = compose(dop, dadj)
-    return DefectOperatorSet(
-        model=spec, grid=grid, D=dop, D_adj=dadj, K=k_op,
-        H_minus=h_minus, H_plus=h_plus,
-        D_mat=discretize(dop, grid),
-        D_adj_mat=discretize(dadj, grid),
-        K_mat=discretize(k_op, grid),
-        H_minus_mat=discretize(h_minus, grid),
-        H_plus_mat=discretize(h_plus, grid),
-    )
+    return _operator_set(spec, grid, dop, k_op)
 
 
 def operator_set_from_block(block: BlockOperator, grid: GridSpec,
@@ -165,20 +177,9 @@ def operator_set_from_block(block: BlockOperator, grid: GridSpec,
     """Operator set for a user-supplied square block (no perturbation split)."""
     if block.rows != block.cols:
         raise ShapeError("index computation needs a square block operator")
-    dadj = adjoint(block)
     zero = BlockOperator(block.rows, block.cols,
                          tuple(OperatorExpression() for _ in block.entries))
-    h_minus = compose(dadj, block)
-    h_plus = compose(block, dadj)
-    return DefectOperatorSet(
-        model=model, grid=grid, D=block, D_adj=dadj, K=zero,
-        H_minus=h_minus, H_plus=h_plus,
-        D_mat=discretize(block, grid),
-        D_adj_mat=discretize(dadj, grid),
-        K_mat=discretize(zero, grid),
-        H_minus_mat=discretize(h_minus, grid),
-        H_plus_mat=discretize(h_plus, grid),
-    )
+    return _operator_set(model, grid, block, zero)
 
 
 # ---------------------------------------------------------------------------

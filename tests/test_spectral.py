@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dil import (AmbiguousGapWarning, BlockOperator, ContourError,
-                 EigenReport, GridSpec, IndexParams, SolverError,
-                 count_zero_modes, low_spectrum, monomial,
+                 EigenReport, GridSpec, IndexParams, ModelSpec, SolverError,
+                 build_operator_set, count_zero_modes, low_spectrum, monomial,
                  operator_set_from_block, pairing_check, winding_number,
                  witten_index)
-from dil.opcalc import ONE, Z, ZERO
+from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO
+from dil.spectral import DENSE_CUTOFF
 
 OSCILLATOR_TOL = 0.05
 
@@ -69,6 +76,88 @@ def test_low_spectrum_nonconvergence_raises(desk_set, desk_grid, monkeypatch):
         low_spectrum(desk_set.H_minus_mat, 4, grid=desk_grid, maxiter=7)
     assert exc_info.value.maxiter == 7
     assert exc_info.value.converged == 0
+
+
+def test_real_matrix_above_dense_cutoff_gets_exact_spectrum():
+    # a real matrix makes ARPACK iterate in real arithmetic; a complex solve
+    # would be cast back to real with a ComplexWarning
+    g = GridSpec(4.0, 64)
+    dim = g.num_nodes
+    assert dim > DENSE_CUTOFF
+    diagonal = np.random.default_rng(3).permutation(np.arange(1.0, dim + 1.0))
+    a = sp.diags(diagonal, format="csr")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = low_spectrum(a, 4, grid=g, matrix_id="diagonal")
+    assert rep.method == "shift-invert"
+    assert rep.eigenvalues == pytest.approx([1.0, 2.0, 3.0, 4.0], rel=1e-12, abs=0)
+    assert rep.ordering == "MMD_AT_PLUS_A"
+    assert rep.lu_fill == 2 * dim  # SuperLU stores the unit diagonal of L
+    assert rep.n_solves >= 4
+
+
+_SMALL = GridSpec(5.0, 24)
+
+
+@pytest.mark.parametrize("op_set", [
+    build_operator_set(ModelSpec(epsilon="0.3", f1_value=1), _SMALL),
+    operator_set_from_block(BlockOperator.from_rows([[D, Z], [ZBAR, DBAR]]), _SMALL),
+], ids=["vortex-c0.3", "anti-vortex"])
+@pytest.mark.parametrize("name", ["H_minus_mat", "H_plus_mat"])
+def test_sparse_and_dense_paths_agree(op_set, name):
+    # k = 8, the default solver.k; the anti-vortex H_minus has a fourfold
+    # level at 1.93 that a window of k = 6 cuts, and there shift-invert
+    # Lanczos can return three copies and the next level in place of the
+    # fourth, depending on the start vector
+    mat = getattr(op_set, name)
+    assert mat.shape[0] <= DENSE_CUTOFF
+    dense = low_spectrum(mat, 8, grid=_SMALL, matrix_id=name)
+    sparse = low_spectrum(mat, 8, grid=_SMALL, matrix_id=name, dense_cutoff=0)
+    assert dense.method == "dense"
+    assert (dense.ordering, dense.lu_fill, dense.n_solves) == (None, 0, 0)
+    assert sparse.method == "shift-invert"
+    assert sparse.ordering == "MMD_AT_PLUS_A"
+    assert sparse.lu_fill > 0
+    assert sparse.n_solves >= 8
+    assert np.max(np.abs(np.subtract(sparse.eigenvalues, dense.eigenvalues))) \
+        <= sparse.residual_bound
+    payload = sparse.to_json_dict()
+    assert (payload["ordering"], payload["lu_fill"], payload["n_solves"]) == \
+        (sparse.ordering, sparse.lu_fill, sparse.n_solves)
+
+
+_HEAP_PROBE = """
+import os
+import numpy as np
+import scipy.sparse as sp
+from dil import GridSpec, low_spectrum
+
+def resident_mb():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+# freeing the mapped 16 MB array raises glibc's mmap threshold to 16 MB, so
+# the 8 MB array comes from the heap and stays resident once freed
+big = np.ones(2**21)
+del big
+mid = np.ones(2**20)
+del mid
+before = resident_mb()
+low_spectrum(sp.identity(64, format="csr"), 2, grid=GridSpec(4.0, 8),
+             dense_cutoff=0)
+print(before - resident_mb())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="needs glibc's malloc and /proc/self/statm")
+def test_sparse_solve_releases_free_heap_pages():
+    # a fresh interpreter, so that the heap holds exactly the freed 8 MB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) > 6.0
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dil import (BlockOperator, Field, GradedOperator, GradedVector,
                  GridSpec, ModelError, ModelSpec, Parity, ParityError,
                  ShapeError, block_gaussian_apply, build_defect_operator,
                  build_operator_set, build_susy_quartet,
-                 compact_perturbation, compose, crat, gaussian,
+                 compact_perturbation, compose, crat, discretize, gaussian,
                  graded_apply, monomial, parity_classify,
                  physical_state_embed, project, sample)
 from dil.opcalc import D, DBAR, Z, ZBAR, ZERO
@@ -86,6 +86,24 @@ def test_symbolic_partner_hamiltonians():
     assert op_set.H_plus == BlockOperator.from_rows([[core, ZERO], [ZERO, core]])
     assert op_set.H_minus == compose(op_set.D_adj, op_set.D)
     assert op_set.H_plus == compose(op_set.D, op_set.D_adj)
+
+
+def test_operator_set_discretizes_each_matrix_on_first_read(monkeypatch):
+    import dil.susy as susy_mod
+
+    calls = []
+
+    def counting_discretize(op, grid):
+        calls.append(op)
+        return discretize(op, grid)
+
+    monkeypatch.setattr(susy_mod, "discretize", counting_discretize)
+    op_set = build_operator_set(ModelSpec(), SMALL)
+    assert calls == []
+    first = op_set.H_minus_mat
+    assert op_set.H_minus_mat is first
+    assert calls == [op_set.H_minus]
+    assert (first != discretize(op_set.H_minus, SMALL)).nnz == 0
 
 
 def test_kernel_pair_alpha_is_exact_square_root():
