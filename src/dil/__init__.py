@@ -12,14 +12,6 @@ from __future__ import annotations
 
 __version__ = "1.0.0"
 
-_MODULES = ("opcalc", "lattice", "susy", "spectral", "analysis", "cli")
-
-
-def module_versions() -> dict[str, str]:
-    """Per-module versions embedded in run reports."""
-    return {name: __version__ for name in _MODULES}
-
-
 from .errors import (ConfigError, ContourError, DilError, FitWindowError,  # noqa: E402
                      ModelError, ParityError, ShapeError, SolverError,
                      ZeroFieldError)
@@ -38,15 +30,15 @@ from .susy import (DefectOperatorSet, GradedOperator, GradedVector,  # noqa: E40
                    operator_set_from_block, parity_classify,
                    physical_state_embed, project)
 from .spectral import (AmbiguousGapWarning, EigenReport, IndexParams,  # noqa: E402
-                       PairingReport, WittenIndexReport, count_zero_modes,
-                       low_spectrum, pairing_check, winding_number,
+                       PairingReport, WittenIndexReport, low_spectrum,
+                       mode_census, pairing_check, winding_number,
                        witten_index)
 from .analysis import (AlgebraReport, ConvergenceReport, DecayFit,  # noqa: E402
                        SweepRow, algebra_check, convergence_study,
                        fit_gaussian_decay, perturbation_sweep)
 
 __all__ = [
-    "__version__", "module_versions",
+    "__version__",
     # errors
     "DilError", "ShapeError", "ModelError", "ZeroFieldError", "ParityError",
     "ContourError", "FitWindowError", "ConfigError", "SolverError",
@@ -65,7 +57,7 @@ __all__ = [
     "parity_classify", "project", "graded_apply", "physical_state_embed",
     # spectral
     "EigenReport", "WittenIndexReport", "IndexParams", "PairingReport",
-    "AmbiguousGapWarning", "low_spectrum", "count_zero_modes", "witten_index",
+    "AmbiguousGapWarning", "low_spectrum", "mode_census", "witten_index",
     "winding_number", "pairing_check",
     # analysis
     "DecayFit", "SweepRow", "ConvergenceReport", "AlgebraReport",

@@ -9,13 +9,13 @@ residual report for the supersymmetry algebra.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import FitWindowError
+from .errors import FitWindowError, ModelError
 from .lattice import Field, GridSpec
 from .spectral import IndexParams, low_spectrum, witten_index
 from .susy import ModelSpec, SusyQuartet, build_operator_set
@@ -77,21 +77,7 @@ class SweepRow:
     error: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "c": self.c, "c_effective": self.c_effective, "delta": self.delta,
-            "winding": self.winding, "alpha_fit": self.alpha_fit,
-            "alpha_predicted": self.alpha_predicted,
-            "lambda_min": self.lambda_min, "error": self.error,
-        }
-
-
-SWEEP_CSV_HEADER = ["c", "c_effective", "delta", "winding", "alpha_fit",
-                    "alpha_predicted", "lambda_min", "error"]
-
-
-def sweep_row_values(row: SweepRow) -> list:
-    return [row.c, row.c_effective, row.delta, row.winding, row.alpha_fit,
-            row.alpha_predicted, row.lambda_min, row.error or ""]
+        return asdict(self)
 
 
 def perturbation_sweep(c_values: Sequence[float], grid: GridSpec, *,
@@ -144,16 +130,12 @@ class ConvergenceReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [{"h": r.h, "n": r.n, "lambda0_error": r.lambda0_error,
-                      "lambda1_error": r.lambda1_error} for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "order_smallest": self.order_smallest,
             "order_second": self.order_second,
             "monotone_smallest": self.monotone_smallest,
             "monotone_second": self.monotone_second,
         }
-
-
-CONVERGENCE_CSV_HEADER = ["h", "n", "lambda0_error", "lambda1_error"]
 
 
 def convergence_study(grids: Sequence[GridSpec],
@@ -162,8 +144,15 @@ def convergence_study(grids: Sequence[GridSpec],
     """Fit eigenvalue errors of H_minus against h^p over a set of grids.
 
     The smallest eigenvalue is compared against 0 and the second against
-    the unit gap.  Requires at least three distinct spacings.
+    the unit gap.  Those are the levels of the unperturbed t = 1 oscillator
+    only, so any other model raises ModelError.  Requires at least three
+    distinct spacings.
     """
+    if model.t != 1 or model.mass_defect() != 0:
+        raise ModelError(
+            f"the convergence reference levels 0 and 1 hold only for the "
+            f"unperturbed t = 1 model, got t = {model.t}, mass defect "
+            f"{model.mass_defect()}")
     hs = [g.h for g in grids]
     if len(set(hs)) < 3:
         raise ValueError("need at least three grids with distinct spacings")

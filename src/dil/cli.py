@@ -21,27 +21,21 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from . import __version__, module_versions
-from .analysis import (CONVERGENCE_CSV_HEADER, SWEEP_CSV_HEADER, algebra_check,
-                       convergence_study, fit_gaussian_decay,
-                       perturbation_sweep, sweep_row_values)
+from . import __version__
+from .analysis import (ConvergenceRow, SweepRow, algebra_check, convergence_study,
+                       fit_gaussian_decay, perturbation_sweep)
 from .errors import ConfigError, DilError, ModelError, SolverError
 from .lattice import GridSpec, field_to_csv
 from .opcalc import render_block
-from .spectral import (IndexParams, count_zero_modes, low_spectrum,
-                       winding_number, witten_index)
+from .spectral import EigenReport, IndexParams, winding_number, witten_index
 from .susy import ModelSpec, build_operator_set, build_susy_quartet
 from . import selftest
 
 ENV_PREFIX = "DIL_"
-
-SUBCOMMANDS = ("algebra-check", "index", "zero-modes", "sweep", "convergence",
-               "winding", "opcalc-selftest")
-
 
 def _parse_number(x: Any, key: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -73,28 +67,50 @@ def _parse_optional_int(x: Any, key: str) -> Optional[int]:
     return _parse_int(x, key)
 
 
+def _key(default: Any, parse: Callable[[Any, str], Any],
+         rule: Optional[tuple] = None) -> Any:
+    """One config key: its default, its parser and an optional (check, text)
+    rule on the parsed value, skipped for None ('auto' or null)."""
+    meta = {"parse": parse, "rule": rule}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment configuration with every module constraint checked."""
+    """Resolved experiment configuration with every module constraint checked.
 
-    grid_L: float = 5.0
-    grid_n: int = 96
-    model_t: float = 1.0
-    model_epsilon: float = 0.0
-    model_f1: float = 1.0
-    model_f1_series: list[float] = field(default_factory=list)
-    model_f2: float = 0.0
-    solver_tol: float = 0.0
-    solver_k: int = 8
-    solver_maxiter: Optional[int] = None
-    index_gap_threshold: Optional[float] = None
-    index_loc_radius: Optional[float] = None
-    index_loc_min: float = 0.95
-    sweep_c_values: list[float] = field(default_factory=lambda: [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-    convergence_n_values: list[float] = field(default_factory=lambda: [49, 97, 193])
-    winding_radius: float = 1.0
-    winding_samples: int = 256
-    seed: int = 0
+    The fields are the config keys: field ``a_b`` is key ``a.b``.
+    """
+
+    grid_L: float = _key(5.0, _parse_number, _POSITIVE)
+    grid_n: int = _key(96, _parse_int, (lambda v: v >= 8, "must be at least 8"))
+    model_t: float = _key(1.0, _parse_number)
+    model_epsilon: float = _key(0.0, _parse_number)
+    model_f1: float = _key(1.0, _parse_number)
+    model_f1_series: list[float] = _key([], _parse_number_list)
+    model_f2: float = _key(0.0, _parse_number)
+    solver_tol: float = _key(0.0, _parse_number, (
+        lambda v: v >= 0, "must be non-negative (0 = machine precision)"))
+    solver_k: int = _key(8, _parse_int, _AT_LEAST_ONE)
+    solver_maxiter: Optional[int] = _key(None, _parse_optional_int, _AT_LEAST_ONE)
+    index_gap_threshold: Optional[float] = _key(None, _parse_auto_or_number, _POSITIVE)
+    index_loc_radius: Optional[float] = _key(None, _parse_auto_or_number, _POSITIVE)
+    index_loc_min: float = _key(0.95, _parse_number, (
+        lambda v: 0 < v <= 1, "must lie in (0, 1]"))
+    sweep_c_values: list[float] = _key([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _parse_number_list, (
+        lambda v: all(c < 1 for c in v), "must all be below 1"))
+    convergence_n_values: list[float] = _key([49, 97, 193], _parse_number_list, (
+        lambda v: len(v) >= 3 and all(int(n) == n and n >= 8 for n in v),
+        "needs at least three grid sizes, all integers >= 8"))
+    winding_radius: float = _key(1.0, _parse_number, _POSITIVE)
+    winding_samples: int = _key(256, _parse_int, (lambda v: v >= 64, "must be at least 64"))
+    seed: int = _key(0, _parse_int)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_L, self.grid_n)
@@ -115,48 +131,17 @@ class ExperimentConfig:
                            winding_samples=self.winding_samples)
 
     def to_flat_dict(self) -> dict[str, Any]:
-        return {
-            "grid.L": self.grid_L,
-            "grid.n": self.grid_n,
-            "model.t": self.model_t,
-            "model.epsilon": self.model_epsilon,
-            "model.f1": self.model_f1,
-            "model.f1_series": list(self.model_f1_series),
-            "model.f2": self.model_f2,
-            "solver.tol": self.solver_tol,
-            "solver.k": self.solver_k,
-            "solver.maxiter": self.solver_maxiter,
-            "index.gap_threshold": "auto" if self.index_gap_threshold is None else self.index_gap_threshold,
-            "index.loc_radius": "auto" if self.index_loc_radius is None else self.index_loc_radius,
-            "index.loc_min": self.index_loc_min,
-            "sweep.c_values": list(self.sweep_c_values),
-            "convergence.n_values": list(self.convergence_n_values),
-            "winding.radius": self.winding_radius,
-            "winding.samples": self.winding_samples,
-            "seed": self.seed,
-        }
+        out: dict[str, Any] = {}
+        for key, f in CONFIG_KEYS.items():
+            value = getattr(self, f.name)
+            if value is None and f.metadata["parse"] is _parse_auto_or_number:
+                value = "auto"
+            out[key] = list(value) if isinstance(value, list) else value
+        return out
 
 
-_KEY_SETTERS: dict[str, tuple[str, Callable[[Any, str], Any]]] = {
-    "grid.L": ("grid_L", _parse_number),
-    "grid.n": ("grid_n", _parse_int),
-    "model.t": ("model_t", _parse_number),
-    "model.epsilon": ("model_epsilon", _parse_number),
-    "model.f1": ("model_f1", _parse_number),
-    "model.f1_series": ("model_f1_series", _parse_number_list),
-    "model.f2": ("model_f2", _parse_number),
-    "solver.tol": ("solver_tol", _parse_number),
-    "solver.k": ("solver_k", _parse_int),
-    "solver.maxiter": ("solver_maxiter", _parse_optional_int),
-    "index.gap_threshold": ("index_gap_threshold", _parse_auto_or_number),
-    "index.loc_radius": ("index_loc_radius", _parse_auto_or_number),
-    "index.loc_min": ("index_loc_min", _parse_number),
-    "sweep.c_values": ("sweep_c_values", _parse_number_list),
-    "convergence.n_values": ("convergence_n_values", _parse_number_list),
-    "winding.radius": ("winding_radius", _parse_number),
-    "winding.samples": ("winding_samples", _parse_int),
-    "seed": ("seed", _parse_int),
-}
+CONFIG_KEYS: dict[str, Field] = {f.name.replace("_", ".", 1): f
+                                 for f in fields(ExperimentConfig)}
 
 
 def _read_flat_file(path: Path) -> dict[str, Any]:
@@ -182,7 +167,7 @@ def _read_flat_file(path: Path) -> dict[str, Any]:
 
 def _env_overrides() -> dict[str, Any]:
     """DIL_GRID_N=128 style overrides; names map onto config keys."""
-    by_env = {ENV_PREFIX + k.upper().replace(".", "_"): k for k in _KEY_SETTERS}
+    by_env = {ENV_PREFIX + k.upper().replace(".", "_"): k for k in CONFIG_KEYS}
     out: dict[str, Any] = {}
     for name, raw in os.environ.items():
         if not name.startswith(ENV_PREFIX):
@@ -204,47 +189,22 @@ def load_config(path: Optional[str], seed_flag: Optional[int] = None) -> Experim
         flat.update(_read_flat_file(Path(path)))
     flat.update(_env_overrides())
 
-    cfg = ExperimentConfig()
-    unknown = [k for k in flat if k not in _KEY_SETTERS]
+    unknown = [k for k in flat if k not in CONFIG_KEYS]
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    for key, value in flat.items():
-        attr, caster = _KEY_SETTERS[key]
-        setattr(cfg, attr, caster(value, key))
+    cfg = ExperimentConfig(**{CONFIG_KEYS[k].name: CONFIG_KEYS[k].metadata["parse"](v, k)
+                              for k, v in flat.items()})
     if seed_flag is not None:
         cfg.seed = seed_flag
 
-    # re-validate every module constraint here so errors carry the config key
-    if cfg.grid_L <= 0:
-        raise ConfigError(f"grid.L must be positive, got {cfg.grid_L}")
-    if cfg.grid_n < 8:
-        raise ConfigError(f"grid.n must be at least 8, got {cfg.grid_n}")
-    if cfg.solver_tol < 0:
-        raise ConfigError(f"solver.tol must be non-negative (0 = machine precision), "
-                          f"got {cfg.solver_tol}")
-    if cfg.solver_k < 1:
-        raise ConfigError(f"solver.k must be at least 1, got {cfg.solver_k}")
-    if cfg.solver_maxiter is not None and cfg.solver_maxiter < 1:
-        raise ConfigError(f"solver.maxiter must be at least 1, got {cfg.solver_maxiter}")
-    if cfg.index_gap_threshold is not None and cfg.index_gap_threshold <= 0:
-        raise ConfigError(f"index.gap_threshold must be positive or 'auto', "
-                          f"got {cfg.index_gap_threshold}")
-    if cfg.index_loc_radius is not None and not (
-            0 < cfg.index_loc_radius <= cfg.grid_L):
-        raise ConfigError(f"index.loc_radius must lie in (0, grid.L] or be "
-                          f"'auto', got {cfg.index_loc_radius}")
-    if not 0 < cfg.index_loc_min <= 1:
-        raise ConfigError(f"index.loc_min must lie in (0, 1], got {cfg.index_loc_min}")
-    if any(c >= 1 for c in cfg.sweep_c_values):
-        raise ConfigError("sweep.c_values must all be below 1")
-    if len(cfg.convergence_n_values) < 3:
-        raise ConfigError("convergence.n_values needs at least three grid sizes")
-    if any(int(n) != n or n < 8 for n in cfg.convergence_n_values):
-        raise ConfigError("convergence.n_values must be integers >= 8")
-    if cfg.winding_radius <= 0:
-        raise ConfigError(f"winding.radius must be positive, got {cfg.winding_radius}")
-    if cfg.winding_samples < 64:
-        raise ConfigError(f"winding.samples must be at least 64, got {cfg.winding_samples}")
+    # errors carry the config key, not the module that would reject the value
+    for key, f in CONFIG_KEYS.items():
+        value, rule = getattr(cfg, f.name), f.metadata["rule"]
+        if rule is not None and value is not None and not rule[0](value):
+            raise ConfigError(f"{key} {rule[1]}, got {value!r}")
+    if cfg.index_loc_radius is not None and cfg.index_loc_radius > cfg.grid_L:
+        raise ConfigError(f"index.loc_radius must not exceed grid.L = {cfg.grid_L}, "
+                          f"got {cfg.index_loc_radius}")
     try:
         cfg.model()
     except ModelError as exc:
@@ -268,68 +228,65 @@ def _run_algebra_check(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
     return results, report.passed(1e-12), []
 
 
+def _csv(header: list[str], rows: list[dict]) -> Callable[[Path], None]:
+    """Side-file writer: a header line, then one line per row dict.
+
+    Cells are written as csv writes them: floats at repr precision, None as
+    an empty cell.
+    """
+    def write(path: Path) -> None:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([row[k] for k in header] for row in rows)
+    return write
+
+
+def _spectrum_writer(rep: EigenReport) -> Callable[[Path], None]:
+    return _csv(["index", "eigenvalue", "residual"],
+                [{"index": i, "eigenvalue": lam, "residual": res}
+                 for i, (lam, res) in enumerate(zip(rep.eigenvalues, rep.residuals))])
+
+
 def _run_index(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
     op_set = build_operator_set(cfg.model(), cfg.grid())
     report = witten_index(op_set, cfg.grid(), cfg.index_params())
     passed = report.winding_matches is not False and not report.ambiguous
-
-    def write_minus(path: Path) -> None:
-        _spectrum_csv(path, report.eigenvalues_minus, report.minus_report.residuals)
-
-    def write_plus(path: Path) -> None:
-        _spectrum_csv(path, report.eigenvalues_plus, report.plus_report.residuals)
-
-    side: SideFiles = [("spectrum_minus.csv", write_minus),
-                       ("spectrum_plus.csv", write_plus)]
+    side: SideFiles = [("spectrum_minus.csv", _spectrum_writer(report.minus_report)),
+                       ("spectrum_plus.csv", _spectrum_writer(report.plus_report))]
     return report.to_json_dict(), passed, side
 
 
-def _spectrum_csv(path: Path, eigenvalues: list[float], residuals: list[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "eigenvalue", "residual"])
-        for i, (lam, res) in enumerate(zip(eigenvalues, residuals)):
-            w.writerow([i, repr(lam), repr(res)])
-
-
 def _run_zero_modes(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
+    """The H_minus modes of the index census, each with its decay fit."""
     grid = cfg.grid()
-    op_set = build_operator_set(cfg.model(), grid)
-    params = cfg.index_params()
-    rep = low_spectrum(op_set.H_minus_mat, params.k, params.tol, grid=grid,
-                       matrix_id="H_minus", seed=params.seed,
-                       maxiter=params.maxiter)
-    gap = params.gap_threshold if params.gap_threshold is not None else 0.5
-    loc_radius = params.loc_radius if params.loc_radius is not None else grid.L / 2
-    count = count_zero_modes(rep, grid, gap, loc_radius, params.loc_min)
+    model = cfg.model()
+    report = witten_index(build_operator_set(model, grid), grid, cfg.index_params())
+    rep = report.minus_report
+    fractions = report.localization_fractions["minus"]
     results: dict[str, Any] = {
-        "count": count,
-        "gap_threshold": gap,
-        "loc_radius": loc_radius,
-        "loc_min": params.loc_min,
+        "count": report.n_minus,
+        "gap_threshold": report.gap_threshold,
+        "loc_radius": report.loc_radius,
+        "loc_min": report.loc_min,
         "eigenvalues": rep.eigenvalues,
         "residuals": rep.residuals,
         "modes": [],
     }
-    side: SideFiles = [("spectrum_minus.csv",
-                        lambda p: _spectrum_csv(p, rep.eigenvalues, rep.residuals))]
-    ok = True
-    from .lattice import localization_fraction  # local import avoids cycle at top
-    for i, (lam, vec) in enumerate(zip(rep.eigenvalues, rep.vectors)):
-        if lam >= gap:
-            continue
-        frac = localization_fraction(vec, loc_radius)
+    side: SideFiles = [("spectrum_minus.csv", _spectrum_writer(rep))]
+    # eigenvalues ascend, so the census's sub-gap fractions are those of the
+    # leading eigenpairs
+    for i, (lam, vec, frac) in enumerate(zip(rep.eigenvalues, rep.vectors, fractions)):
         fit = fit_gaussian_decay(vec)
         results["modes"].append({
             "eigenvalue": lam,
             "localization_fraction": frac,
             "alpha_fit": fit.alpha,
-            "alpha_predicted": cfg.model().predicted_alpha(),
+            "alpha_predicted": model.predicted_alpha(),
             "fit_r_squared": fit.r_squared,
         })
-        ok = ok and frac >= params.loc_min
         side.append((f"mode{i}.csv", lambda p, v=vec: field_to_csv(v, p)))
-    return results, ok, side
+    return results, all(f >= report.loc_min for f in fractions), side
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
@@ -339,15 +296,8 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
     ok = all(r.error is None and r.delta is not None and r.delta == r.winding
              for r in rows)
     results = {"rows": [r.to_json_dict() for r in rows]}
-
-    def write_rows(path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(SWEEP_CSV_HEADER)
-            for r in rows:
-                w.writerow(sweep_row_values(r))
-
-    return results, ok, [("sweep.csv", write_rows)]
+    header = [f.name for f in fields(SweepRow)]
+    return results, ok, [("sweep.csv", _csv(header, results["rows"]))]
 
 
 def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
@@ -356,15 +306,9 @@ def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
                                IndexParams(k=max(3, cfg.solver_k), tol=cfg.solver_tol,
                                            seed=cfg.seed, maxiter=cfg.solver_maxiter))
     ok = 1.7 <= report.order_second <= 2.3 and report.monotone_smallest
-
-    def write_rows(path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CONVERGENCE_CSV_HEADER)
-            for r in report.rows:
-                w.writerow([repr(r.h), r.n, repr(r.lambda0_error), repr(r.lambda1_error)])
-
-    return report.to_json_dict(), ok, [("convergence.csv", write_rows)]
+    results = report.to_json_dict()
+    header = [f.name for f in fields(ConvergenceRow)]
+    return results, ok, [("convergence.csv", _csv(header, results["rows"]))]
 
 
 def _run_winding(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
@@ -415,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="dil",
         description="Defect operator toolkit: SUSY algebra checks, zero-mode "
                     "counting, and Witten index computation.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(_HANDLERS))
     parser.add_argument("--config", help="flat-key config file")
     parser.add_argument("--out", help="write the JSON report to this path "
                         "(delimited side files go next to it)")
@@ -428,12 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         cfg = load_config(args.config, seed_flag=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         results, passed, side = _HANDLERS[args.subcommand](cfg)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
@@ -447,9 +386,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     elapsed = time.perf_counter() - t0
 
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "package_version": __version__,
-        "module_versions": module_versions(),
         "subcommand": args.subcommand,
         "seed": cfg.seed,
         "serial": bool(args.serial),

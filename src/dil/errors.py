@@ -24,7 +24,8 @@ class ParityError(DilError):
 
 
 class ContourError(DilError):
-    """The winding contour passes through a zero of the sampled entry."""
+    """The winding contour passes through a zero of the sampled entry, or
+    samples it too coarsely to follow its phase."""
 
 
 class FitWindowError(DilError):

@@ -194,8 +194,8 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
                        ordering=ordering, lu_fill=lu_fill, n_solves=n_solves)
 
 
-def _mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
-                 loc_radius: float, loc_min: float) -> tuple[int, list[float], bool]:
+def mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
+                loc_radius: float, loc_min: float) -> tuple[int, list[float], bool]:
     """Count localized sub-gap modes; also return their localization fractions
     and whether any eigenvalue sits ambiguously close to the threshold."""
     if gap_threshold <= 0:
@@ -216,29 +216,15 @@ def _mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
     return count, fractions, ambiguous
 
 
-def count_zero_modes(report: EigenReport, grid: GridSpec,
-                     gap_threshold: float = 0.5,
-                     loc_radius: Optional[float] = None,
-                     loc_min: float = 0.95) -> int:
-    """Number of eigenvalues below the gap whose modes pass the localization bar."""
-    if loc_radius is None:
-        loc_radius = grid.L / 2
-    count, _, ambiguous = _mode_census(report, grid, gap_threshold, loc_radius, loc_min)
-    if ambiguous:
-        warnings.warn(
-            f"{report.matrix_id or 'matrix'}: an eigenvalue lies within 10% of "
-            f"the gap threshold {gap_threshold}; the zero-mode count is ambiguous",
-            AmbiguousGapWarning, stacklevel=2)
-    return count
-
-
 def winding_number(multiplier: OperatorExpression, radius: float,
                    samples: int = 256) -> int:
     """Phase winding of a multiplication operator around |z| = radius.
 
-    Accumulates unwrapped phase increments over the closed contour; each
-    increment must stay below pi in magnitude, which holds at 64+ samples
-    for the low-degree polynomial entries used here.
+    Accumulates the phase increments between neighbouring samples of the
+    closed contour.  An increment is only known modulo 2 pi, so each must
+    stay well below pi in magnitude; any above pi/2 means the sampling is
+    too coarse for the entry (z^40 needs more than 64 samples) and raises
+    ContourError rather than returning an aliased count.
     """
     if samples < 64:
         raise ValueError(f"need at least 64 contour samples, got {samples}")
@@ -249,6 +235,11 @@ def winding_number(multiplier: OperatorExpression, radius: float,
         raise ContourError(
             f"mass entry vanishes on the contour |z| = {radius}; winding undefined")
     increments = np.angle(vals[1:] / vals[:-1])
+    worst = float(np.max(np.abs(increments)))
+    if worst > np.pi / 2:
+        raise ContourError(
+            f"phase step {worst:.3f} rad between contour samples exceeds pi/2 at "
+            f"{samples} samples; the winding would alias")
     total = float(np.sum(increments)) / (2.0 * np.pi)
     return int(np.rint(total))
 
@@ -346,8 +337,8 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
                 loc_radius = max(grid.L / 2,
                                  min(0.7 * grid.L, float(np.sqrt(4.0 / alpha))))
 
-    n_minus, frac_minus, amb_m = _mode_census(rm, grid, gap, loc_radius, params.loc_min)
-    n_plus, frac_plus, amb_p = _mode_census(rp, grid, gap, loc_radius, params.loc_min)
+    n_minus, frac_minus, amb_m = mode_census(rm, grid, gap, loc_radius, params.loc_min)
+    n_plus, frac_plus, amb_p = mode_census(rp, grid, gap, loc_radius, params.loc_min)
 
     try:
         winding = winding_number(op_set.mass_entry, params.winding_radius,

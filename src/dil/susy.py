@@ -130,7 +130,6 @@ class DefectOperatorSet:
     grid: GridSpec
     D: BlockOperator
     D_adj: BlockOperator
-    K: BlockOperator
     H_minus: BlockOperator
     H_plus: BlockOperator
 
@@ -144,10 +143,6 @@ class DefectOperatorSet:
         return discretize(self.D, self.grid)
 
     @cached_property
-    def K_mat(self) -> sp.csr_matrix:
-        return discretize(self.K, self.grid)
-
-    @cached_property
     def H_minus_mat(self) -> sp.csr_matrix:
         return discretize(self.H_minus, self.grid)
 
@@ -156,30 +151,23 @@ class DefectOperatorSet:
         return discretize(self.H_plus, self.grid)
 
 
-def _operator_set(model: Optional[ModelSpec], grid: GridSpec,
-                  dop: BlockOperator, k_op: BlockOperator) -> DefectOperatorSet:
-    dadj = adjoint(dop)
-    return DefectOperatorSet(model=model, grid=grid, D=dop, D_adj=dadj, K=k_op,
-                             H_minus=compose(dadj, dop), H_plus=compose(dop, dadj))
+def operator_set_from_block(block: BlockOperator, grid: GridSpec,
+                            model: Optional[ModelSpec] = None) -> DefectOperatorSet:
+    """Operator set of a square block operator: its adjoint and both partners."""
+    if block.rows != block.cols:
+        raise ShapeError("index computation needs a square block operator")
+    dadj = adjoint(block)
+    return DefectOperatorSet(model=model, grid=grid, D=block, D_adj=dadj,
+                             H_minus=compose(dadj, block), H_plus=compose(block, dadj))
 
 
 def build_operator_set(spec: ModelSpec, grid: GridSpec) -> DefectOperatorSet:
-    dop = build_defect_operator(spec)
+    """Operator set of the model, whose perturbation must be compact and odd."""
     k_op = compact_perturbation(spec)
     if any(not k_op.entry(i, j).is_zero
            for i in range(k_op.rows) for j in range(k_op.cols) if i >= j):
         raise ModelError("perturbation block is not strictly upper-triangular")
-    return _operator_set(spec, grid, dop, k_op)
-
-
-def operator_set_from_block(block: BlockOperator, grid: GridSpec,
-                            model: Optional[ModelSpec] = None) -> DefectOperatorSet:
-    """Operator set for a user-supplied square block (no perturbation split)."""
-    if block.rows != block.cols:
-        raise ShapeError("index computation needs a square block operator")
-    zero = BlockOperator(block.rows, block.cols,
-                         tuple(OperatorExpression() for _ in block.entries))
-    return _operator_set(model, grid, block, zero)
+    return operator_set_from_block(build_defect_operator(spec), grid, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dil.cli import load_config, main
+from dil.cli import CONFIG_KEYS, ExperimentConfig, load_config, main
 from dil.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST_CONFIG = """\
 # small grid: dense solver path, still resolves the zero mode
@@ -48,11 +53,27 @@ def test_unknown_key_is_a_hard_error(tmp_path):
         load_config(str(path))
 
 
-def test_invalid_value_type(tmp_path):
+# one value per key that has a rule, breaking that rule
+RULE_BREAKERS = {
+    "grid.L": 0, "grid.n": 4, "solver.tol": -1e-3, "solver.k": 0,
+    "solver.maxiter": 0, "index.gap_threshold": 0, "index.loc_radius": -1,
+    "index.loc_min": 1.5, "sweep.c_values": [0, 1.0],
+    "convergence.n_values": [49, 97], "winding.radius": 0, "winding.samples": 32,
+}
+
+
+def test_every_rule_has_a_breaking_value():
+    assert set(RULE_BREAKERS) == {k for k, f in CONFIG_KEYS.items()
+                                  if f.metadata["rule"] is not None}
+
+
+@pytest.mark.parametrize("key", sorted(RULE_BREAKERS))
+def test_invalid_value_names_the_key(tmp_path, key):
     path = tmp_path / "bad.cfg"
-    path.write_text('grid.n = "many"\n')
-    with pytest.raises(ConfigError, match="grid.n"):
-        load_config(str(path))
+    for bad in ('"many"', json.dumps(RULE_BREAKERS[key])):
+        path.write_text(f"{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(str(path))
 
 
 def test_constraint_revalidation(tmp_path):
@@ -60,6 +81,24 @@ def test_constraint_revalidation(tmp_path):
     path.write_text("model.epsilon = 2\nmodel.f1 = 1\n")
     with pytest.raises(ConfigError, match="model"):
         load_config(str(path))
+    path.write_text("grid.L = 3\nindex.loc_radius = 3.5\n")
+    with pytest.raises(ConfigError, match="index.loc_radius"):
+        load_config(str(path))
+
+
+def test_schema_config_keys_match_the_table():
+    schema = json.loads(resources.files("dil").joinpath(
+        "schemas/run_report.schema.json").read_text())
+    config = schema["properties"]["config"]
+    assert config["required"] == list(CONFIG_KEYS)
+    assert set(config["properties"]) == set(CONFIG_KEYS)
+
+
+def test_readme_config_table_matches_the_defaults():
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", (ROOT / "README.md").read_text(),
+                      flags=re.MULTILINE)
+    readme = {key: json.loads(default) for key, default in rows}
+    assert readme == ExperimentConfig().to_flat_dict()
 
 
 def test_env_override(tmp_path, monkeypatch):
@@ -142,6 +181,19 @@ def test_zero_modes_subcommand(fast_config, tmp_path):
     assert (tmp_path / "modes_mode0.csv").exists()
 
 
+def test_zero_modes_uses_the_index_census(fast_config, tmp_path):
+    index_out, modes_out = tmp_path / "index.json", tmp_path / "modes.json"
+    assert main(["index", "--config", fast_config, "--serial", "--out", str(index_out)]) == 0
+    assert main(["zero-modes", "--config", fast_config, "--serial",
+                 "--out", str(modes_out)]) == 0
+    index, modes = _read_report(index_out)["results"], _read_report(modes_out)["results"]
+    assert modes["count"] == index["n_minus"]
+    assert modes["gap_threshold"] == index["gap_threshold"]
+    assert modes["loc_radius"] == index["loc_radius"]
+    assert ([m["localization_fraction"] for m in modes["modes"]]
+            == index["localization_fractions"]["minus"])
+
+
 def test_sweep_subcommand(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("grid.L = 4.5\ngrid.n = 24\nsolver.k = 6\n"
@@ -174,6 +226,15 @@ def test_convergence_subcommand(tmp_path):
     assert (tmp_path / "conv_convergence.csv").exists()
 
 
+def test_convergence_refuses_a_perturbed_model(tmp_path, capsys):
+    # the reference levels 0 and 1 are those of the unperturbed oscillator
+    path = tmp_path / "conv.cfg"
+    path.write_text("model.epsilon = 0.3\nconvergence.n_values = [16, 20, 24]\n")
+    assert main(["convergence", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unperturbed" in err
+
+
 def test_winding_subcommand(fast_config, tmp_path):
     out = tmp_path / "winding.json"
     assert main(["winding", "--config", fast_config, "--out", str(out)]) == 0
@@ -194,12 +255,14 @@ def test_opcalc_selftest_subcommand(tmp_path):
 # report contract
 # --------------------------------------------------------------------------
 
-def test_report_validates_against_shipped_schema(fast_config, tmp_path):
+@pytest.mark.parametrize("subcommand", ["algebra-check", "index", "zero-modes",
+                                        "winding", "sweep"])
+def test_report_validates_against_shipped_schema(tmp_path, subcommand):
     jsonschema = pytest.importorskip("jsonschema")
-    from importlib import resources
-
+    config = tmp_path / "schema.cfg"
+    config.write_text(FAST_CONFIG + "sweep.c_values = [0, 0.3]\n")
     out = tmp_path / "report.json"
-    assert main(["index", "--config", fast_config, "--serial",
+    assert main([subcommand, "--config", str(config), "--serial",
                  "--out", str(out)]) == 0
     schema = json.loads(resources.files("dil").joinpath(
         "schemas/run_report.schema.json").read_text())
@@ -220,8 +283,8 @@ def test_report_embeds_config_and_versions(fast_config, tmp_path):
     out = tmp_path / "report.json"
     main(["index", "--config", fast_config, "--serial", "--out", str(out)])
     report = _read_report(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert report["package_version"] == "1.0.0"
     assert report["config"]["grid.n"] == 24
-    assert set(report["module_versions"]) == {
-        "opcalc", "lattice", "susy", "spectral", "analysis", "cli"}
+    assert "module_versions" not in report
     assert report["timings"] is None  # nulled under --serial

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dil import (AmbiguousGapWarning, BlockOperator, ContourError,
+from dil import (BlockOperator, ContourError,
                  EigenReport, GridSpec, IndexParams, ModelSpec, SolverError,
-                 build_operator_set, count_zero_modes, low_spectrum, monomial,
+                 build_operator_set, low_spectrum, mode_census, monomial,
                  operator_set_from_block, pairing_check, winding_number,
                  witten_index)
 from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO
@@ -164,44 +164,45 @@ def test_sparse_solve_releases_free_heap_pages():
 # zero-mode counting
 # --------------------------------------------------------------------------
 
+def _count(report, grid, gap_threshold=0.5, loc_min=0.95):
+    return mode_census(report, grid, gap_threshold, grid.L / 2, loc_min)[0]
+
+
 def test_count_zero_modes_unperturbed(desk_index, desk_grid):
-    assert count_zero_modes(desk_index.minus_report, desk_grid) == 1
-    assert count_zero_modes(desk_index.plus_report, desk_grid) == 0
+    assert _count(desk_index.minus_report, desk_grid) == 1
+    assert _count(desk_index.plus_report, desk_grid) == 0
 
 
 def test_count_zero_modes_empty_report(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
                         hermiticity_defect=0.0, method="dense", tol=0.0)
-    assert count_zero_modes(empty, desk_grid) == 0
+    assert mode_census(empty, desk_grid, 0.5, desk_grid.L / 2, 0.95) == (0, [], False)
 
 
 def test_count_zero_modes_stable_on_threshold_plateau(desk_index, desk_grid):
-    counts = {count_zero_modes(desk_index.minus_report, desk_grid, gap_threshold=t)
+    counts = {_count(desk_index.minus_report, desk_grid, gap_threshold=t)
               for t in (0.3, 0.4, 0.5, 0.6, 0.7)}
     assert counts == {1}
 
 
 def test_count_zero_modes_monotone_in_threshold(desk_index, desk_grid):
-    import warnings as _warnings
-    counts = []
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", AmbiguousGapWarning)
-        for t in (0.1, 0.5, 1.2, 2.1):
-            counts.append(count_zero_modes(desk_index.minus_report, desk_grid,
-                                           gap_threshold=t, loc_min=0.0))
+    counts = [_count(desk_index.minus_report, desk_grid, gap_threshold=t, loc_min=0.0)
+              for t in (0.1, 0.5, 1.2, 2.1)]
     assert counts == sorted(counts)
 
 
 def test_count_zero_modes_warns_near_threshold(desk_index, desk_grid):
     # second eigenvalue sits at ~1.0; a threshold of 0.97 is within 10%
-    with pytest.warns(AmbiguousGapWarning):
-        count_zero_modes(desk_index.minus_report, desk_grid, gap_threshold=0.97)
+    census = mode_census(desk_index.minus_report, desk_grid, 0.97, desk_grid.L / 2, 0.95)
+    assert census[2] is True
+    assert mode_census(desk_index.minus_report, desk_grid, 0.5, desk_grid.L / 2,
+                       0.95)[2] is False
 
 
 def test_count_zero_modes_rejects_bad_threshold(desk_index, desk_grid):
     with pytest.raises(ValueError):
-        count_zero_modes(desk_index.minus_report, desk_grid, gap_threshold=0.0)
+        _count(desk_index.minus_report, desk_grid, gap_threshold=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +249,13 @@ def test_winding_rejects_derivative_expressions():
 def test_winding_degree_two_zero():
     z_squared = monomial(1, 2, 0, 0, 0)
     assert winding_number(z_squared, radius=1.0) == 2
+
+
+def test_winding_refuses_to_alias():
+    # z^40 turns 40 * 2pi / 64 per step at 64 samples: it would read -24
+    with pytest.raises(ContourError, match="alias"):
+        winding_number(monomial(1, pow_z=40), 1.0, 64)
+    assert winding_number(monomial(1, pow_z=40), 1.0, 256) == 40
 
 
 # --------------------------------------------------------------------------

@@ -143,10 +143,10 @@ def test_quartet_requires_square_matrix():
 
 
 def test_doubled_compact_perturbation_is_odd():
-    op_set = build_operator_set(ModelSpec(epsilon=0.3, f1_value=1), SMALL)
-    n = op_set.K_mat.shape[0]
+    k_mat = discretize(compact_perturbation(ModelSpec(epsilon=0.3, f1_value=1)), SMALL)
+    n = k_mat.shape[0]
     zero = sp.csr_matrix((n, n), dtype=complex)
-    doubled = sp.bmat([[zero, op_set.K_mat], [zero, zero]], format="csr")
+    doubled = sp.bmat([[zero, k_mat], [zero, zero]], format="csr")
     w = sp.diags(np.concatenate([np.ones(n), -np.ones(n)])).tocsr()
     assert parity_classify(doubled, w) is Parity.ODD
 
