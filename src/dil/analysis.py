@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitWindowError, ModelError
-from .lattice import Field, GridSpec
+from .lattice import Field, GridSpec, max_abs
 from .spectral import IndexParams, low_spectrum, witten_index
 from .susy import ModelSpec, SusyQuartet, build_operator_set
 
@@ -208,24 +208,18 @@ class AlgebraReport:
                 "max_residual": self.max_residual}
 
 
-def _mx(m) -> float:
-    if sp.issparse(m):
-        return float(np.max(np.abs(m.data))) if m.nnz else 0.0
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
 def algebra_check(q: SusyQuartet) -> AlgebraReport:
     """Evaluate every algebra relation on the discrete quartet."""
     eye = sp.identity(q.dim, dtype=complex, format="csr")
-    nq = max(_mx(q.Q), 1e-300)
-    nh = max(_mx(q.Ham), 1e-300)
+    nq = max(max_abs(q.Q), 1e-300)
+    nh = max(max_abs(q.Ham), 1e-300)
     residuals = {
-        "Q^2": _mx(q.Q @ q.Q) / nq ** 2,
-        "Qdag^2": _mx(q.Q_dag @ q.Q_dag) / nq ** 2,
-        "{Q,Qdag}-H": _mx(q.Q @ q.Q_dag + q.Q_dag @ q.Q - q.Ham) / max(nq ** 2, nh),
-        "[W,H]": _mx(q.W @ q.Ham - q.Ham @ q.W) / nh,
-        "{W,Q}": _mx(q.W @ q.Q + q.Q @ q.W) / nq,
-        "{W,Qdag}": _mx(q.W @ q.Q_dag + q.Q_dag @ q.W) / nq,
-        "W^2-I": _mx(q.W @ q.W - eye),
+        "Q^2": max_abs(q.Q @ q.Q) / nq ** 2,
+        "Qdag^2": max_abs(q.Q_dag @ q.Q_dag) / nq ** 2,
+        "{Q,Qdag}-H": max_abs(q.Q @ q.Q_dag + q.Q_dag @ q.Q - q.Ham) / max(nq ** 2, nh),
+        "[W,H]": max_abs(q.W @ q.Ham - q.Ham @ q.W) / nh,
+        "{W,Q}": max_abs(q.W @ q.Q + q.Q @ q.W) / nq,
+        "{W,Qdag}": max_abs(q.W @ q.Q_dag + q.Q_dag @ q.W) / nq,
+        "W^2-I": max_abs(q.W @ q.W - eye),
     }
     return AlgebraReport(residuals={k: float(v) for k, v in residuals.items()})

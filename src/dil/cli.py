@@ -16,7 +16,6 @@ bit for bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from . import __version__
 from .analysis import (ConvergenceRow, SweepRow, algebra_check, convergence_study,
                        fit_gaussian_decay, perturbation_sweep)
 from .errors import ConfigError, DilError, ModelError, SolverError
-from .lattice import GridSpec, field_to_csv
+from .lattice import GridSpec, field_to_csv, write_csv
 from .opcalc import render_block
 from .spectral import EigenReport, IndexParams, winding_number, witten_index
 from .susy import ModelSpec, build_operator_set, build_susy_quartet
@@ -229,17 +228,8 @@ def _run_algebra_check(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
 
 
 def _csv(header: list[str], rows: list[dict]) -> Callable[[Path], None]:
-    """Side-file writer: a header line, then one line per row dict.
-
-    Cells are written as csv writes them: floats at repr precision, None as
-    an empty cell.
-    """
-    def write(path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([row[k] for k in header] for row in rows)
-    return write
+    """Side-file writer: a header line, then the header's values of each row dict."""
+    return lambda path: write_csv(path, header, ([row[k] for k in header] for row in rows))
 
 
 def _spectrum_writer(rep: EigenReport) -> Callable[[Path], None]:

@@ -31,7 +31,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,6 +218,14 @@ def discretize_expression(e: OperatorExpression, grid: GridSpec) -> sp.csr_matri
     return out
 
 
+def max_abs(m) -> float:
+    """Largest entry magnitude of a sparse or dense matrix, 0.0 if it has none."""
+    if sp.issparse(m):
+        return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+    arr = np.asarray(m)
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
 def discretize(op: BlockOperator, grid: GridSpec) -> sp.csr_matrix:
     """Sparse matrix of a block operator; blocks are assembled row-major."""
     blocks = [[discretize_expression(op.entry(i, j), grid)
@@ -231,46 +239,61 @@ def discretize(op: BlockOperator, grid: GridSpec) -> sp.csr_matrix:
 # Delimited serialization (binary-free)
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row.
+
+    Build numeric rows with ``.tolist()``: csv writes a numpy scalar as its
+    repr, ``np.float64(...)`` under numpy 2.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_csv(path, header: Sequence[str]) -> list[list[str]]:
+    """The rows after the header, which must be ``header``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != list(header):
+            raise ValueError(f"unexpected CSV header in {path}: {found}")
+        return list(reader)
+
+
+_MATRIX_HEADER = ("row", "col", "re", "im")
+_FIELD_HEADER = ("index", "re", "im")
+
+
 def matrix_to_csv(mat: sp.spmatrix, path) -> None:
     """Write a sparse matrix as (row, col, re, im) triplets with a header."""
     coo = mat.tocoo()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "re", "im"])
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            w.writerow([int(r), int(c), repr(float(v.real)), repr(float(v.imag))])
+    data = coo.data.astype(complex)
+    write_csv(path, _MATRIX_HEADER, zip(coo.row.tolist(), coo.col.tolist(),
+                                        data.real.tolist(), data.imag.tolist()))
 
 
 def matrix_from_csv(path, shape: tuple[int, int]) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["row", "col", "re", "im"]:
-            raise ValueError(f"unexpected matrix CSV header: {header}")
-        for r, c, re_s, im_s in reader:
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re_s), float(im_s)))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    cells = _read_csv(path, _MATRIX_HEADER)
+    vals = [complex(float(re_s), float(im_s)) for _, _, re_s, im_s in cells]
+    ij = ([int(row[0]) for row in cells], [int(row[1]) for row in cells])
+    return sp.coo_matrix((vals, ij), shape=shape).tocsr()
 
 
 def field_to_csv(fld: Field, path) -> None:
     """Write a field as (index, re, im) rows with a header."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for i, v in enumerate(fld.values):
-            w.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    vals = fld.values
+    write_csv(path, _FIELD_HEADER,
+              zip(range(vals.size), vals.real.tolist(), vals.imag.tolist()))
 
 
 def field_from_csv(path, grid: GridSpec, components: int) -> Field:
-    vals = np.zeros(components * grid.num_nodes, dtype=complex)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "re", "im"]:
-            raise ValueError(f"unexpected field CSV header: {header}")
-        for idx, re_s, im_s in reader:
-            vals[int(idx)] = complex(float(re_s), float(im_s))
+    """Read a field back; every index 0..N-1 must appear exactly once."""
+    size = components * grid.num_nodes
+    cells = _read_csv(path, _FIELD_HEADER)
+    idx = [int(row[0]) for row in cells]
+    if sorted(idx) != list(range(size)):
+        raise ValueError(f"{path} does not list each index 0..{size - 1} exactly once")
+    vals = np.empty(size, dtype=complex)
+    vals[idx] = [complex(float(re_s), float(im_s)) for _, re_s, im_s in cells]
     return Field(grid, components, vals)

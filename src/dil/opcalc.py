@@ -138,9 +138,6 @@ class OperatorTerm:
     def derivative_order(self) -> int:
         return self.pow_d + self.pow_dbar
 
-    def scaled(self, c: ComplexRational) -> "OperatorTerm":
-        return OperatorTerm(self.coeff * c, *self.signature)
-
 
 @dataclass(frozen=True)
 class OperatorExpression:
@@ -158,10 +155,10 @@ class OperatorExpression:
     def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpression":
         acc: dict[tuple[int, int, int, int], ComplexRational] = {}
         for t in terms:
-            acc[t.signature] = acc.get(t.signature, C_ZERO) + t.coeff
-        kept = [OperatorTerm(c, *sig) for sig, c in acc.items() if not c.is_zero]
-        kept.sort(key=lambda t: t.signature)
-        return OperatorExpression(tuple(kept))
+            sig = t.signature
+            acc[sig] = acc.get(sig, C_ZERO) + t.coeff
+        return OperatorExpression(tuple(
+            OperatorTerm(c, *sig) for sig, c in sorted(acc.items()) if not c.is_zero))
 
     @property
     def is_zero(self) -> bool:
@@ -180,7 +177,8 @@ class OperatorExpression:
         c = _coerce_scalar(c)
         if c.is_zero:
             return OperatorExpression()
-        return OperatorExpression(tuple(t.scaled(c) for t in self.terms))
+        return OperatorExpression(tuple(
+            OperatorTerm(t.coeff * c, *t.signature) for t in self.terms))
 
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
         return OperatorExpression.from_terms(self.terms + other.terms)
@@ -189,24 +187,20 @@ class OperatorExpression:
         return self + (-other)
 
     def __neg__(self) -> "OperatorExpression":
-        return OperatorExpression(tuple(t.scaled(crat(-1)) for t in self.terms))
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, OperatorExpression):
             return OperatorExpression.from_terms(
                 t for a in self.terms for b in other.terms
-                for t in normal_order(a, b).terms)
+                for t in normal_order(a, b))
         try:
             return self.scale(other)
         except TypeError:
             return NotImplemented
 
-    def __rmul__(self, other):
-        # scalars commute with everything; operator products use __mul__
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
+    # only a scalar reaches __rmul__, and scalars commute with everything
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return render_expression(self)
@@ -228,11 +222,12 @@ D = monomial(1, pow_d=1)
 DBAR = monomial(1, pow_dbar=1)
 
 
-def normal_order(left: OperatorTerm, right: OperatorTerm) -> OperatorExpression:
-    """Canonical form of the operator product ``left @ right``.
+def normal_order(left: OperatorTerm, right: OperatorTerm) -> list[OperatorTerm]:
+    """Normal-ordered terms of the operator product ``left @ right``.
 
     Uses d^m z^n = sum_k k! C(m,k) C(n,k) z^(n-k) d^(m-k) in each Wirtinger
-    sector; the (z, d) and (zb, db) sectors commute with each other.
+    sector; the (z, d) and (zb, db) sectors commute with each other.  Each
+    signature appears once; callers canonicalize a whole result with ``from_terms``.
     """
     base = left.coeff * right.coeff
     out = []
@@ -246,24 +241,20 @@ def normal_order(left: OperatorTerm, right: OperatorTerm) -> OperatorExpression:
                 left.pow_zbar + right.pow_zbar - l,
                 left.pow_d + right.pow_d - k,
                 left.pow_dbar + right.pow_dbar - l))
-    return OperatorExpression.from_terms(out)
-
-
-def term_adjoint(t: OperatorTerm) -> OperatorExpression:
-    """Formal L2 adjoint of one monomial, normal-ordered.
-
-    (c z^a zb^b d^p db^q)+  =  conj(c) (-db)^p (-d)^q zb^a z^b,
-    reversed and reduced back to normal order.
-    """
-    sign = C_ONE if (t.pow_d + t.pow_dbar) % 2 == 0 else crat(-1)
-    lead = OperatorTerm(t.coeff.conjugate() * sign, 0, 0, t.pow_dbar, t.pow_d)
-    tail = OperatorTerm(C_ONE, t.pow_zbar, t.pow_z, 0, 0)
-    return normal_order(lead, tail)
+    return out
 
 
 def expression_adjoint(e: OperatorExpression) -> OperatorExpression:
+    """Formal L2 adjoint of an expression, normal-ordered.
+
+    (c z^a zb^b d^p db^q)+  =  conj(c) (-db)^p (-d)^q zb^a z^b,
+    reversed and reduced back to normal order term by term.
+    """
     return OperatorExpression.from_terms(
-        t for term in e.terms for t in term_adjoint(term).terms)
+        t for u in e.terms for t in normal_order(
+            OperatorTerm(u.coeff.conjugate() * (-1) ** u.derivative_order,
+                         0, 0, u.pow_dbar, u.pow_d),
+            OperatorTerm(C_ONE, u.pow_zbar, u.pow_z, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -318,14 +309,12 @@ def compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
     """Block matrix product with every scalar product normal-ordered."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    entries = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            s = ZERO
-            for k in range(a.cols):
-                s = s + a.entry(i, k) * b.entry(k, j)
-            entries.append(s)
-    return BlockOperator(a.rows, b.cols, tuple(entries))
+    return BlockOperator(a.rows, b.cols, tuple(
+        OperatorExpression.from_terms(
+            t for k in range(a.cols)
+            for x in a.entry(i, k).terms for y in b.entry(k, j).terms
+            for t in normal_order(x, y))
+        for i in range(a.rows) for j in range(b.cols)))
 
 
 def adjoint(a):
@@ -413,29 +402,17 @@ def gaussian(alpha: RationalLike,
     return GaussianAnsatz(as_fraction(alpha), tuple(items))
 
 
-def _poly_shift(p: PolyDict, dz: int, dzb: int) -> PolyDict:
-    return {(i + dz, j + dzb): c for (i, j), c in p.items()}
-
-
-def _poly_wirtinger_d(p: PolyDict, alpha: Fraction) -> PolyDict:
-    # d(p e^{-a z zb}) = (dp - a zb p) e^{-a z zb}
+def _poly_wirtinger(p: PolyDict, alpha: Fraction, axis: int) -> PolyDict:
+    # d(p e^{-a z zb}) = (dp - a zb p) e^{-a z zb} for axis 0; axis 1 (db)
+    # swaps the roles of z and zb
+    down = (1, 0) if axis == 0 else (0, 1)
     out: PolyDict = {}
     for (i, j), c in p.items():
-        if i > 0:
-            key = (i - 1, j)
-            out[key] = out.get(key, C_ZERO) + c * i
-        key = (i, j + 1)
-        out[key] = out.get(key, C_ZERO) + c * (-alpha)
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _poly_wirtinger_dbar(p: PolyDict, alpha: Fraction) -> PolyDict:
-    out: PolyDict = {}
-    for (i, j), c in p.items():
-        if j > 0:
-            key = (i, j - 1)
-            out[key] = out.get(key, C_ZERO) + c * j
-        key = (i + 1, j)
+        power = (i, j)[axis]
+        if power > 0:
+            key = (i - down[0], j - down[1])
+            out[key] = out.get(key, C_ZERO) + c * power
+        key = (i + down[1], j + down[0])
         out[key] = out.get(key, C_ZERO) + c * (-alpha)
     return {k: v for k, v in out.items() if not v.is_zero}
 
@@ -445,13 +422,12 @@ def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
     acc: PolyDict = {}
     for t in a.terms:
         p = f.poly_dict
-        for _ in range(t.pow_d):
-            p = _poly_wirtinger_d(p, f.alpha)
-        for _ in range(t.pow_dbar):
-            p = _poly_wirtinger_dbar(p, f.alpha)
-        p = _poly_shift(p, t.pow_z, t.pow_zbar)
-        for k, v in p.items():
-            acc[k] = acc.get(k, C_ZERO) + v * t.coeff
+        for axis, power in ((0, t.pow_d), (1, t.pow_dbar)):
+            for _ in range(power):
+                p = _poly_wirtinger(p, f.alpha, axis)
+        for (i, j), v in p.items():
+            key = (i + t.pow_z, j + t.pow_zbar)
+            acc[key] = acc.get(key, C_ZERO) + v * t.coeff
     return gaussian(f.alpha, acc)
 
 
@@ -506,20 +482,11 @@ def evaluate_multiplication(e: OperatorExpression, zs):
 # Canonical plain-text rendering, round-trippable for golden fixtures
 # ---------------------------------------------------------------------------
 
-def render_coeff(c: ComplexRational) -> str:
-    sign = "+" if c.im >= 0 else "-"
-    return f"({c.re}{sign}{abs(c.im)}i)"
-
-
-def render_term(t: OperatorTerm) -> str:
-    return (f"{render_coeff(t.coeff)}*z^{t.pow_z}*zb^{t.pow_zbar}"
-            f"*d^{t.pow_d}*db^{t.pow_dbar}")
-
-
 def render_expression(e: OperatorExpression) -> str:
     if e.is_zero:
         return "0"
-    return " + ".join(render_term(t) for t in e.terms)
+    return " + ".join(f"{t.coeff}*z^{t.pow_z}*zb^{t.pow_zbar}*d^{t.pow_d}*db^{t.pow_dbar}"
+                      for t in e.terms)
 
 
 def render_block(a: BlockOperator) -> list[list[str]]:
@@ -527,8 +494,9 @@ def render_block(a: BlockOperator) -> list[list[str]]:
             for i in range(a.rows)]
 
 
+# denominators are nonzero, so a bad fraction fails the match, not Fraction()
 _TERM_RE = re.compile(
-    r"^\((-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\)"
+    r"^\((-?\d+(?:/0*[1-9]\d*)?)([+-]\d+(?:/0*[1-9]\d*)?)i\)"
     r"\*z\^(\d+)\*zb\^(\d+)\*d\^(\d+)\*db\^(\d+)$")
 
 

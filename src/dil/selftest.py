@@ -18,8 +18,9 @@ from .opcalc import (BlockOperator, D, DBAR, GaussianAnsatz,
 from .susy import ModelSpec, build_defect_operator
 
 
-def _random_expression(rng: random.Random, max_terms: int = 3,
-                       max_pow: int = 2) -> OperatorExpression:
+def random_expression(rng: random.Random, max_terms: int = 3,
+                      max_pow: int = 2) -> OperatorExpression:
+    """1 to max_terms monomials with small rational coefficients and powers."""
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         coeff = crat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
@@ -30,12 +31,14 @@ def _random_expression(rng: random.Random, max_terms: int = 3,
     return OperatorExpression.from_terms(terms)
 
 
-def _random_block(rng: random.Random) -> BlockOperator:
+def random_block(rng: random.Random) -> BlockOperator:
+    """2x2 block of random expressions, drawn row by row."""
     return BlockOperator.from_rows(
-        [[_random_expression(rng) for _ in range(2)] for _ in range(2)])
+        [[random_expression(rng) for _ in range(2)] for _ in range(2)])
 
 
-def _random_gaussian(rng: random.Random) -> GaussianAnsatz:
+def random_gaussian(rng: random.Random) -> GaussianAnsatz:
+    """Ansatz with a rational decay rate and a polynomial part with constant 1."""
     alpha = Fraction(rng.randint(1, 4), rng.randint(1, 3))
     poly = {(rng.randint(0, 2), rng.randint(0, 2)):
             crat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))}
@@ -63,11 +66,11 @@ def run_selftest(seed: int = 0, trials: int = 100) -> dict:
 
     ok_inv = ok_anti = ok_assoc = ok_render = True
     for _ in range(trials):
-        a, b, c = _random_block(rng), _random_block(rng), _random_block(rng)
+        a, b, c = random_block(rng), random_block(rng), random_block(rng)
         ok_inv &= adjoint(adjoint(a)) == a
         ok_anti &= adjoint(compose(a, b)) == compose(adjoint(b), adjoint(a))
         ok_assoc &= compose(compose(a, b), c) == compose(a, compose(b, c))
-        e = _random_expression(rng)
+        e = random_expression(rng)
         ok_render &= parse_expression(render_expression(e)) == e
     checks["adjoint_involutive"] = ok_inv
     checks["adjoint_anti_multiplicative"] = ok_anti
@@ -76,8 +79,8 @@ def run_selftest(seed: int = 0, trials: int = 100) -> dict:
 
     ok_linear = ok_chain = True
     for _ in range(trials // 4):
-        e1, e2 = _random_expression(rng), _random_expression(rng)
-        f = _random_gaussian(rng)
+        e1, e2 = random_expression(rng), random_expression(rng)
+        f = random_gaussian(rng)
         g = gaussian(f.alpha, {(1, 0): crat(1)})
         ok_linear &= gaussian_apply(e1, f + g) == (
             gaussian_apply(e1, f) + gaussian_apply(e1, g))

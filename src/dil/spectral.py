@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContourError, ShapeError, SolverError
-from .lattice import Field, GridSpec, localization_fraction
+from .lattice import Field, GridSpec, localization_fraction, max_abs
 from .opcalc import OperatorExpression, evaluate_multiplication
 from .susy import DefectOperatorSet, ModelSpec
 
@@ -129,9 +129,8 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
 
     a = a.tocsr()
     a_dag = a.getH().tocsr()
-    scale = max(np.max(np.abs(a.data)) if a.nnz else 0.0, 1e-300)
-    defect_mat = (a - a_dag)
-    defect = (np.max(np.abs(defect_mat.data)) / scale) if defect_mat.nnz else 0.0
+    scale = max(max_abs(a), 1e-300)
+    defect = max_abs(a - a_dag) / scale
     herm = ((a + a_dag) * 0.5).tocsr()
 
     ordering, lu_fill, n_solves = None, 0, 0

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ModelError, ParityError, ShapeError
-from .lattice import Field, GridSpec, discretize
+from .lattice import Field, GridSpec, discretize, max_abs
 from .opcalc import (BlockOperator, D, DBAR, OperatorExpression, Z, ZBAR,
                      adjoint, as_fraction, compose)
 
@@ -208,25 +208,18 @@ class Parity(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-def _max_abs(mat) -> float:
-    if sp.issparse(mat):
-        return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
-    arr = np.asarray(mat)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
 def parity_classify(a, w, tol: float = 1e-10) -> Parity:
     """Even if a commutes with the grading, odd if it anticommutes."""
     if a.shape != w.shape:
         raise ShapeError(f"operator shape {a.shape} does not match grading {w.shape}")
-    scale = _max_abs(a)
+    scale = max_abs(a)
     if scale == 0.0:
         return Parity.EVEN
     wa = w @ a
     aw = a @ w
-    if _max_abs(wa - aw) <= tol * scale:
+    if max_abs(wa - aw) <= tol * scale:
         return Parity.EVEN
-    if _max_abs(wa + aw) <= tol * scale:
+    if max_abs(wa + aw) <= tol * scale:
         return Parity.ODD
     return Parity.INDEFINITE
 

@@ -18,7 +18,8 @@ from dil import (BlockOperator, GradedOperator, GradedVector, GridSpec,
                  build_operator_set, compose, convergence_study, crat,
                  fit_gaussian_decay, graded_apply, localization_fraction,
                  monomial, perturbation_sweep, project, witten_index)
-from dil.opcalc import D, DBAR, OperatorExpression, OperatorTerm, Z, ZBAR, ZERO
+from dil.opcalc import D, DBAR, Z, ZBAR, ZERO
+from dil.selftest import random_block
 
 SWEEP_CS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -126,24 +127,8 @@ def test_criterion_08_symbolic_exactness():
     ok &= compose(defect, adjoint(defect)) == h_plus
 
     rng = random.Random(97)
-
-    def random_block():
-        rows = []
-        for _ in range(2):
-            row = []
-            for _ in range(2):
-                terms = [OperatorTerm(
-                    crat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                         Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
-                    rng.randint(0, 2), rng.randint(0, 2),
-                    rng.randint(0, 2), rng.randint(0, 2))
-                    for _ in range(rng.randint(1, 3))]
-                row.append(OperatorExpression.from_terms(terms))
-            rows.append(row)
-        return BlockOperator.from_rows(rows)
-
     for _ in range(100):
-        a, b = random_block(), random_block()
+        a, b = random_block(rng), random_block(rng)
         ok &= adjoint(adjoint(a)) == a
         ok &= adjoint(compose(a, b)) == compose(adjoint(b), adjoint(a))
     _record(8, "closed forms of both partner Hamiltonians exact; adjoint "

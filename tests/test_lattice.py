@@ -14,7 +14,7 @@ from dil import (BlockOperator, Field, GridSpec, ZeroFieldError, adjoint,
                  crat, discretize, field_from_csv, field_to_csv, gaussian,
                  gaussian_apply, localization_fraction, matrix_from_csv,
                  matrix_to_csv, monomial, sample)
-from dil.lattice import discretize_expression
+from dil.lattice import discretize_expression, max_abs
 from dil.opcalc import D, DBAR, Z, ZBAR, OperatorExpression, OperatorTerm
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
@@ -237,3 +237,43 @@ def test_field_csv_round_trip(tmp_path):
     field_to_csv(f, path)
     back = field_from_csv(path, g, 2)
     assert np.array_equal(f.values, back.values)
+
+
+def test_zero_matrix_csv_is_header_only_and_reads_back(tmp_path):
+    path = tmp_path / "zero.csv"
+    matrix_to_csv(sp.csr_matrix((5, 5), dtype=complex), path)
+    assert path.read_bytes() == b"row,col,re,im\r\n"
+    back = matrix_from_csv(path, (5, 5))
+    assert back.shape == (5, 5) and back.nnz == 0
+
+
+def test_csv_readers_check_the_header(tmp_path):
+    g = GridSpec(4.0, 12)
+    path = tmp_path / "field.csv"
+    field_to_csv(sample(g, gaussian(1)), path)
+    with pytest.raises(ValueError, match="header"):
+        matrix_from_csv(path, (g.num_nodes, g.num_nodes))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "duplicated", "out_of_range"])
+def test_field_csv_must_list_every_index_once(tmp_path, damage):
+    g = GridSpec(4.0, 12)
+    path = tmp_path / "field.csv"
+    field_to_csv(sample(g, gaussian(1)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "truncated":
+        lines = lines[:-10]
+    elif damage == "duplicated":
+        lines[-1] = lines[-2]
+    else:
+        lines[-1] = f"{g.num_nodes},1.0,0.0\r\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="exactly once"):
+        field_from_csv(path, g, 1)
+
+
+def test_max_abs_dense_and_sparse():
+    dense = np.array([[0.0, -2.0], [2.0 + 2.0j, 1.0]])
+    assert max_abs(dense) == max_abs(sp.csr_matrix(dense)) == abs(2.0 + 2.0j)
+    assert max_abs(sp.csr_matrix((3, 3))) == 0.0
+    assert max_abs(np.zeros((0, 0))) == 0.0

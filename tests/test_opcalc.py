@@ -14,35 +14,12 @@ from dil import (BlockOperator, GridSpec, ShapeError, adjoint,
                  parse_expression, render_expression, sample)
 from dil.opcalc import (D, DBAR, ONE, OperatorExpression, OperatorTerm, Z,
                         ZBAR, ZERO)
+from dil.selftest import random_block, random_expression, random_gaussian
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
 CORE = monomial(-1, pow_d=1, pow_dbar=1) + monomial(1, 1, 1, 0, 0)
 H_MINUS_CLOSED = BlockOperator.from_rows([[CORE, monomial(-1)], [monomial(-1), CORE]])
 H_PLUS_CLOSED = BlockOperator.from_rows([[CORE, ZERO], [ZERO, CORE]])
-
-
-def _random_expression(rng, max_pow=2, max_terms=3):
-    terms = [
-        OperatorTerm(crat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                          Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
-                     rng.randint(0, max_pow), rng.randint(0, max_pow),
-                     rng.randint(0, max_pow), rng.randint(0, max_pow))
-        for _ in range(rng.randint(1, max_terms))
-    ]
-    return OperatorExpression.from_terms(terms)
-
-
-def _random_block(rng):
-    return BlockOperator.from_rows(
-        [[_random_expression(rng) for _ in range(2)] for _ in range(2)])
-
-
-def _random_ansatz(rng):
-    alpha = Fraction(rng.randint(1, 3), rng.randint(1, 2))
-    poly = {(rng.randint(0, 2), rng.randint(0, 2)): crat(rng.randint(-2, 2), rng.randint(-2, 2))
-            for _ in range(rng.randint(1, 3))}
-    poly[(0, 0)] = crat(1)
-    return gaussian(alpha, poly)
 
 
 # --------------------------------------------------------------------------
@@ -56,6 +33,16 @@ def test_normal_order_defining_commutator():
 
 def test_normal_order_leaves_ordered_product_alone():
     assert Z * D == monomial(1, 1, 0, 1, 0)
+
+
+def test_normal_order_returns_raw_terms_one_per_signature():
+    # d^2 db z^2 zb = (z^2 d^2 + 4 z d + 2)(zb db + 1), one term per (k, l)
+    terms = normal_order(OperatorTerm(crat(1), 0, 0, 2, 1),
+                         OperatorTerm(crat(1), 2, 1, 0, 0))
+    assert len({t.signature for t in terms}) == len(terms) == 6
+    assert OperatorExpression.from_terms(terms) == (
+        monomial(1, 2, 1, 2, 1) + monomial(1, 2, 0, 2, 0) + monomial(4, 1, 1, 1, 1)
+        + monomial(4, 1, 0, 1, 0) + monomial(2, 0, 1, 0, 1) + monomial(2))
 
 
 def _apply_term_to_poly(term: OperatorTerm, poly: dict) -> dict:
@@ -104,8 +91,8 @@ def test_normal_order_dbar_zbar_squared_against_polynomial_oracle():
 def test_normal_order_random_against_polynomial_oracle():
     rng = random.Random(7)
     for _ in range(60):
-        a = _random_expression(rng)
-        b = _random_expression(rng)
+        a = random_expression(rng)
+        b = random_expression(rng)
         poly = {(rng.randint(0, 2), rng.randint(0, 2)): 1.0 + 0.5j}
         sequential = _apply_expression_to_poly(a, _apply_expression_to_poly(b, poly))
         composed = _apply_expression_to_poly(a * b, poly)
@@ -117,8 +104,29 @@ def test_normal_order_random_against_polynomial_oracle():
 def test_canonicalization_is_idempotent():
     rng = random.Random(11)
     for _ in range(50):
-        e = _random_expression(rng)
+        e = random_expression(rng)
         assert OperatorExpression.from_terms(e.terms) == e
+
+
+def test_one_canonicalization_per_product(monkeypatch):
+    # every result entry is canonicalized once, from all of its raw terms
+    rng = random.Random(3)
+    a, b = random_block(rng), random_block(rng)
+    calls = []
+    canonical = OperatorExpression.from_terms
+
+    def counted(terms):
+        calls.append(1)
+        return canonical(terms)
+
+    monkeypatch.setattr(OperatorExpression, "from_terms", staticmethod(counted))
+    counts = []
+    for product in (lambda: compose(a, b), lambda: adjoint(a),
+                    lambda: a.entry(0, 0) * b.entry(0, 0)):
+        calls.clear()
+        product()
+        counts.append(len(calls))
+    assert counts == [4, 4, 1]
 
 
 def test_canonical_form_merges_and_drops_zeros():
@@ -147,7 +155,7 @@ def test_closed_forms_against_gaussian_oracle():
     # the symbolic products must act like sequential application
     rng = random.Random(3)
     for _ in range(5):
-        top = _random_ansatz(rng)
+        top = random_gaussian(rng)
         fs = [top, gaussian(top.alpha, {(1, 1): crat(1), (0, 0): crat(1, 1)})]
         once = block_gaussian_apply(H_MINUS_CLOSED, fs)
         twice = block_gaussian_apply(adjoint(DEFECT), block_gaussian_apply(DEFECT, fs))
@@ -160,7 +168,7 @@ def test_closed_forms_against_gaussian_oracle():
 def test_compose_associative_on_random_triples():
     rng = random.Random(5)
     for _ in range(40):
-        a, b, c = _random_block(rng), _random_block(rng), _random_block(rng)
+        a, b, c = random_block(rng), random_block(rng), random_block(rng)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
@@ -193,7 +201,7 @@ def test_adjoint_of_compact_perturbation_block():
 def test_adjoint_anti_homomorphism_and_involution_on_100_random_operators():
     rng = random.Random(17)
     for _ in range(100):
-        a, b = _random_block(rng), _random_block(rng)
+        a, b = random_block(rng), random_block(rng)
         assert adjoint(compose(a, b)) == compose(adjoint(b), adjoint(a))
         assert adjoint(adjoint(a)) == a
 
@@ -202,8 +210,8 @@ def test_adjoint_exact_inner_product_identity():
     # <adjoint(A) u, v> == <u, A v> via exact Gaussian moment integrals
     rng = random.Random(23)
     for _ in range(30):
-        a = _random_expression(rng)
-        u, v = _random_ansatz(rng), _random_ansatz(rng)
+        a = random_expression(rng)
+        u, v = random_gaussian(rng), random_gaussian(rng)
         lhs = gaussian_inner(gaussian_apply(adjoint(a), u), v)
         rhs = gaussian_inner(u, gaussian_apply(a, v))
         assert lhs == rhs
@@ -216,8 +224,8 @@ def test_adjoint_integration_by_parts_on_grid():
     h2 = grid.h ** 2
     rng = random.Random(29)
     for _ in range(5):
-        a = _random_expression(rng)
-        u, v = _random_ansatz(rng), _random_ansatz(rng)
+        a = random_expression(rng)
+        u, v = random_gaussian(rng), random_gaussian(rng)
         au = sample(grid, gaussian_apply(adjoint(a), u))
         av = sample(grid, gaussian_apply(a, v))
         us = sample(grid, u)
@@ -256,8 +264,8 @@ def test_perturbed_defect_annihilates_scaled_pair_exactly():
 def test_gaussian_apply_is_linear():
     rng = random.Random(31)
     for _ in range(30):
-        e = _random_expression(rng)
-        f = _random_ansatz(rng)
+        e = random_expression(rng)
+        f = random_gaussian(rng)
         g = gaussian(f.alpha, {(0, 1): crat(2), (1, 0): crat(-1, 1)})
         assert gaussian_apply(e, f + g) == gaussian_apply(e, f) + gaussian_apply(e, g)
 
@@ -265,8 +273,8 @@ def test_gaussian_apply_is_linear():
 def test_gaussian_apply_consistent_with_compose():
     rng = random.Random(37)
     for _ in range(30):
-        a, b = _random_expression(rng), _random_expression(rng)
-        f = _random_ansatz(rng)
+        a, b = random_expression(rng), random_expression(rng)
+        f = random_gaussian(rng)
         assert gaussian_apply(a * b, f) == gaussian_apply(a, gaussian_apply(b, f))
 
 
@@ -287,7 +295,7 @@ def test_render_matches_documented_format():
 def test_render_round_trips_through_parser():
     rng = random.Random(41)
     for _ in range(100):
-        e = _random_expression(rng)
+        e = random_expression(rng)
         assert parse_expression(render_expression(e)) == e
 
 
@@ -299,5 +307,7 @@ def test_render_fractional_complex_coefficients():
 
 
 def test_parser_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_expression("(1+0i)*z^1*zb")
+    for text in ("(1+0i)*z^1*zb", "(1/0+0i)*z^0*zb^0*d^0*db^0",
+                 "(1-1/00i)*z^0*zb^0*d^0*db^0"):
+        with pytest.raises(ValueError):
+            parse_expression(text)
