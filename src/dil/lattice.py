@@ -1,11 +1,16 @@
 """Square-lattice discretization of the complex plane.
 
 The grid covers the box [-L, L]^2 with n points per axis; node k (row-major,
-x fastest) sits at z = x + i*y with x = -L + (k mod n)*h and
-y = -L + floor(k/n)*h.  Block operators from :mod:`dil.opcalc` are turned
-into sparse matrices with second-order central stencils and homogeneous
-Dirichlet boundary values (ghost nodes outside the box are zero), which is
-accurate here because every mode of interest decays like exp(-|z|^2).
+x fastest) sits at z = x + i*y with x = h*((k mod n) - (n-1)/2) and
+y = h*(floor(k/n) - (n-1)/2).  The axis is built from offsets about its
+centre, so it is exactly antisymmetric: the rows j and n-1-j are bitwise
+mirror images under y -> -y, which :mod:`dil.spectral` relies on to find
+the reflection-conjugation symmetry of a discretized operator exactly.
+
+Block operators from :mod:`dil.opcalc` are turned into sparse matrices with
+second-order central stencils and homogeneous Dirichlet boundary values
+(ghost nodes outside the box are zero), which is accurate here because
+every mode of interest decays like exp(-|z|^2).
 
 A monomial z^a zb^b d^c db^d becomes
 
@@ -62,7 +67,8 @@ class GridSpec:
         return self.n * self.n
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.n)
+        """Node coordinates along one axis; axis[n-1-j] == -axis[j] exactly."""
+        return self.h * (np.arange(self.n) - (self.n - 1) / 2)
 
     def nodes(self) -> np.ndarray:
         """Complex coordinates of all n^2 nodes in row-major order."""

@@ -106,12 +106,13 @@ C_ZERO = ComplexRational()
 C_ONE = ComplexRational(Fraction(1))
 
 
-def _coerce_scalar(x) -> ComplexRational:
-    if isinstance(x, ComplexRational):
-        return x
-    if isinstance(x, (int, Fraction, str)):
-        return crat(x)
-    raise TypeError(f"cannot use {x!r} as an exact scalar")
+def as_scalar(x: RationalLike | ComplexRational) -> ComplexRational:
+    """Exact complex scalar from a ComplexRational or any ``as_fraction`` input.
+
+    The one coercion behind every scalar argument: ``scale``, ``*`` with an
+    expression, ``monomial`` and the ``gaussian`` coefficients.
+    """
+    return x if isinstance(x, ComplexRational) else crat(x)
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ class OperatorExpression:
         return all(t.derivative_order == 0 for t in self.terms)
 
     def scale(self, c) -> "OperatorExpression":
-        c = _coerce_scalar(c)
+        c = as_scalar(c)
         if c.is_zero:
             return OperatorExpression()
         return OperatorExpression(tuple(
@@ -208,7 +209,7 @@ class OperatorExpression:
 
 def monomial(coeff: RationalLike | ComplexRational = 1, pow_z: int = 0,
              pow_zbar: int = 0, pow_d: int = 0, pow_dbar: int = 0) -> OperatorExpression:
-    c = coeff if isinstance(coeff, ComplexRational) else crat(coeff)
+    c = as_scalar(coeff)
     if c.is_zero:
         return OperatorExpression()
     return OperatorExpression((OperatorTerm(c, pow_z, pow_zbar, pow_d, pow_dbar),))
@@ -364,7 +365,7 @@ class GaussianAnsatz:
         return not self.poly
 
     def scale(self, c) -> "GaussianAnsatz":
-        c = _coerce_scalar(c)
+        c = as_scalar(c)
         return gaussian(self.alpha, {k: v * c for k, v in self.poly})
 
     def __add__(self, other: "GaussianAnsatz") -> "GaussianAnsatz":
@@ -395,7 +396,7 @@ def gaussian(alpha: RationalLike,
         poly = {(0, 0): C_ONE}
     items = []
     for key, val in poly.items():
-        c = val if isinstance(val, ComplexRational) else crat(val)
+        c = as_scalar(val)
         if not c.is_zero:
             items.append(((int(key[0]), int(key[1])), c))
     items.sort(key=lambda kv: kv[0])

@@ -16,6 +16,21 @@ nonzero spectra of the two partners, so that eigenvalue IS the spectral gap.
 This matters for strong perturbations, where the gap collapses roughly like
 (1 - c) and a fixed 0.5 threshold would start swallowing paired excited
 states near c ~ 0.5.
+
+Every operator with real coefficients commutes with the antiunitary
+T = R_y K, the mirror y -> -y followed by complex conjugation (T^2 = 1):
+T d T = d and T z T = z, and the grid and stencils are mirror symmetric.
+On the grid, R_y is the permutation P that maps node row j to row n-1-j in
+every spinor component, and T-symmetry of a matrix H reads
+P conj(H) P = H.  Such a Hermitian H is real symmetric in a basis of
+T-invariant vectors built from mirror pairs (Wigner), so its spectrum comes
+from a real factorization and real symmetric Lanczos, at half the storage
+and a fraction of the arithmetic of the complex ones.  ``low_spectrum``
+decides this from the data exactly, with no threshold: a matrix with no
+imaginary entry (the unperturbed model) is real symmetric as it stands, and
+any other one is compared with P conj(H) P entry by entry.  Operators with
+complex coefficients (the multiplier 1 + 2i) fail the comparison and are
+solved in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -72,6 +87,7 @@ class EigenReport:
     ordering: Optional[str] = None
     lu_fill: int = 0
     n_solves: int = 0
+    arithmetic: str = "complex"
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,6 +103,7 @@ class EigenReport:
             "ordering": self.ordering,
             "lu_fill": self.lu_fill,
             "n_solves": self.n_solves,
+            "arithmetic": self.arithmetic,
         }
 
 
@@ -98,7 +115,8 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
 
     The matrix is symmetrized as (A + A*)/2 and the relative defect is
     recorded.  Below ``dense_cutoff`` unknowns a dense solve is used;
-    otherwise shift-invert Lanczos (ARPACK's Arnoldi for complex matrices)
+    otherwise shift-invert Lanczos (ARPACK's Arnoldi for the complex
+    matrices that have to stay complex, see below)
     at sigma = -0.5 with a seeded start vector, which makes repeated runs
     reproducible.  tol = 0 requests machine precision; a post-hoc residual
     bound check refuses eigenpairs that a loose tolerance left inaccurate.
@@ -116,6 +134,25 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     solves.  Free C-heap pages are handed back to the system before the
     factorization, so that the peak memory of a run does not depend on the
     order of its earlier allocations.
+
+    A complex matrix is solved in real arithmetic when the symmetrized A
+    allows it, decided by exact comparison (module docstring).  With no
+    imaginary entry, A is solved as the real matrix it is.  Otherwise A must
+    be T-symmetric: P conj(A) P must equal A bitwise, where P maps node row
+    j to row n-1-j in every component.  Then the unitary Q whose columns
+    are (e_a + e_Pa)/sqrt(2) and i(e_a - e_Pa)/sqrt(2) for each mirror pair
+    a < Pa, side by side, and e_f for each node f = Pf on the y = 0 row of
+    an odd grid, gives the real symmetric R = Re(Q* A Q) with the spectrum
+    of A.  R takes the place of A in the dense and the sparse solve alike,
+    the eigenvectors are mapped back as v = Q w, and the residuals and
+    their bound are those of the complex A.  Keeping the two columns of a
+    pair side by side keeps the fill of the factorization low.  A matrix
+    with no imaginary entry does not take this basis: there R splits
+    exactly into the mirror-even and mirror-odd columns, and shift-invert
+    Lanczos on it returned too few copies of a degenerate level (the n = 24
+    vortex H_plus, at three of eight start vectors), where the plain real
+    solve returns them all.  ``arithmetic`` in the report says which
+    arithmetic the solve ran in; a real matrix is solved as it is.
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
@@ -132,10 +169,18 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     scale = max(max_abs(a), 1e-300)
     defect = max_abs(a - a_dag) / scale
     herm = ((a + a_dag) * 0.5).tocsr()
+    solve_mat, basis = herm, None
+    if np.iscomplexobj(herm):
+        if not herm.data.imag.any():
+            solve_mat = herm.real
+        else:
+            mirror = _mirror(grid, components)
+            if (herm.conj()[mirror][:, mirror] != herm).nnz == 0:
+                solve_mat, basis = _real_form(herm, mirror)
 
     ordering, lu_fill, n_solves = None, 0, 0
     if dim <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(herm.toarray())
+        vals, vecs = np.linalg.eigh(solve_mat.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
         method = "dense"
     else:
@@ -145,7 +190,8 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
         ncv = min(dim, max(4 * k_eff, 40))
         if _MALLOC_TRIM is not None:
             _MALLOC_TRIM(0)
-        shifted = herm - SHIFT * sp.identity(dim, dtype=herm.dtype, format="csr")
+        shifted = solve_mat - SHIFT * sp.identity(dim, dtype=solve_mat.dtype,
+                                                  format="csr")
         lu = spla.splu(shifted.tocsc(), permc_spec=ORDERING)
         ordering, lu_fill = ORDERING, int(lu.nnz)
 
@@ -154,9 +200,9 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
             n_solves += 1
             return lu.solve(x)
 
-        op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=herm.dtype)
+        op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=solve_mat.dtype)
         try:
-            vals, vecs = spla.eigsh(herm, k=k_eff, sigma=SHIFT, which="LM",
+            vals, vecs = spla.eigsh(solve_mat, k=k_eff, sigma=SHIFT, which="LM",
                                     v0=v0, tol=tol, ncv=ncv, maxiter=maxiter,
                                     OPinv=op_inv)
         except spla.ArpackNoConvergence as exc:
@@ -169,6 +215,8 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         method = "shift-invert"
+    if basis is not None:
+        vecs = basis @ vecs
 
     residual_bound = 100.0 * max(tol, 1e-13) * max(scale, 1.0)
     eigenvalues, fields, residuals = [], [], []
@@ -190,8 +238,39 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
                        vectors=fields, residuals=residuals,
                        residual_bound=residual_bound,
                        hermiticity_defect=float(defect), method=method, tol=tol,
-                       ordering=ordering, lu_fill=lu_fill, n_solves=n_solves)
+                       ordering=ordering, lu_fill=lu_fill, n_solves=n_solves,
+                       arithmetic="complex" if np.iscomplexobj(solve_mat) else "real")
 
+
+def _mirror(grid: GridSpec, components: int) -> np.ndarray:
+    """Index of the mirror image under y -> -y of every unknown."""
+    n2 = grid.num_nodes
+    node = np.arange(n2).reshape(grid.n, grid.n)[::-1].ravel()
+    return (np.arange(components)[:, None] * n2 + node[None, :]).ravel()
+
+
+def _real_form(herm: sp.csr_matrix, mirror: np.ndarray
+               ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Real symmetric R = Re(Q* herm Q) and the unitary Q of T-invariant columns.
+
+    Columns follow each pair's lead a: a pair a < Pa gives
+    (e_a + e_Pa)/sqrt(2) and i(e_a - e_Pa)/sqrt(2) side by side, a fixed
+    unknown f = Pf gives e_f.
+    """
+    dim = mirror.size
+    lead = np.flatnonzero(np.arange(dim) <= mirror)
+    paired = mirror[lead] != lead
+    first = np.cumsum(1 + paired) - (1 + paired)
+    a, col = lead[paired], first[paired]
+    fixed = lead[~paired]
+    s = np.full(a.size, np.sqrt(0.5))
+    rows = np.concatenate((a, mirror[a], a, mirror[a], fixed))
+    cols = np.concatenate((col, col, col + 1, col + 1, first[~paired]))
+    vals = np.concatenate((s, s, 1j * s, -1j * s, np.ones(fixed.size)))
+    basis = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    real = (basis.getH() @ herm @ basis).real.tocsr()
+    real.eliminate_zeros()
+    return real, basis
 
 def mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
                 loc_radius: float, loc_min: float) -> tuple[int, list[float], bool]:

@@ -38,6 +38,16 @@ def test_grid_node_layout():
     assert len(zs) == g.num_nodes
 
 
+@pytest.mark.parametrize("n", [24, 25, 96, 97])
+def test_grid_axis_is_exactly_antisymmetric(n):
+    # rows j and n-1-j must be bitwise mirror images: the spectral solver's
+    # reflection-conjugation check compares matrix entries exactly
+    x = GridSpec(5.0, n).axis()
+    assert np.array_equal(x[::-1], -x)
+    assert x[0] == pytest.approx(-5.0, abs=1e-14)
+    assert x[-1] == pytest.approx(5.0, abs=1e-14)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(5.0, 4)

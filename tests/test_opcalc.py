@@ -306,6 +306,27 @@ def test_render_fractional_complex_coefficients():
     assert parse_expression(text) == e
 
 
+@pytest.mark.parametrize("half", [0.5, "1/2", Fraction(1, 2), crat(Fraction(1, 2))])
+def test_every_scalar_route_takes_the_same_scalars(half):
+    expected = monomial(Fraction(1, 2), pow_z=1)
+    assert Z.scale(half) == Z * half == half * Z == monomial(half, pow_z=1) == expected
+    assert render_expression(Z * half) == "(1/2+0i)*z^1*zb^0*d^0*db^0"
+    assert gaussian(1).scale(half) == gaussian(1, {(0, 0): half})
+    assert DEFECT.scale(half).entry(1, 0) == expected
+
+
+@pytest.mark.parametrize("bad", [True, None, 1j, object()])
+def test_scalar_coercion_rejects_non_rationals(bad):
+    with pytest.raises(TypeError):
+        Z.scale(bad)
+    with pytest.raises(TypeError):
+        Z * bad
+    with pytest.raises(TypeError):
+        gaussian(1).scale(bad)
+    with pytest.raises(TypeError):
+        monomial(bad)
+
+
 def test_parser_rejects_garbage():
     for text in ("(1+0i)*z^1*zb", "(1/0+0i)*z^0*zb^0*d^0*db^0",
                  "(1-1/00i)*z^0*zb^0*d^0*db^0"):

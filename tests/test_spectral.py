@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dil import (BlockOperator, ContourError,
                  build_operator_set, low_spectrum, mode_census, monomial,
                  operator_set_from_block, pairing_check, winding_number,
                  witten_index)
-from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO
+from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO, crat
 from dil.spectral import DENSE_CUTOFF
 
 OSCILLATOR_TOL = 0.05
@@ -122,8 +123,55 @@ def test_sparse_and_dense_paths_agree(op_set, name):
     assert np.max(np.abs(np.subtract(sparse.eigenvalues, dense.eigenvalues))) \
         <= sparse.residual_bound
     payload = sparse.to_json_dict()
-    assert (payload["ordering"], payload["lu_fill"], payload["n_solves"]) == \
-        (sparse.ordering, sparse.lu_fill, sparse.n_solves)
+    assert (payload["ordering"], payload["lu_fill"], payload["n_solves"],
+            payload["arithmetic"]) == \
+        (sparse.ordering, sparse.lu_fill, sparse.n_solves, sparse.arithmetic)
+
+
+def _defect(upper, lower):
+    """[[d, upper], [lower, db]]: lower z^N (N > 0) or zb^|N| sets the winding."""
+    return BlockOperator.from_rows([[D, upper], [lower, DBAR]])
+
+
+def _block_set(upper, lower):
+    return lambda grid: operator_set_from_block(_defect(upper, lower), grid)
+
+
+_REAL_FORM_CASES = {
+    "vortex-c0": (lambda grid: build_operator_set(ModelSpec(), grid), "real"),
+    "vortex-c0.3": (lambda grid: build_operator_set(ModelSpec(epsilon="0.3"), grid),
+                    "real"),
+    "anti-vortex-m1": (_block_set(Z, ZBAR), "real"),
+    "anti-vortex-m41/20": (_block_set(Z * Fraction(41, 20), ZBAR), "real"),
+    "N=2-m5/2": (_block_set(monomial(Fraction(5, 2), pow_zbar=2),
+                            monomial(1, pow_z=2)), "real"),
+    "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), "complex"),
+}
+
+
+@pytest.mark.parametrize("name", ["H_minus_mat", "H_plus_mat"])
+@pytest.mark.parametrize("case", list(_REAL_FORM_CASES))
+@pytest.mark.parametrize("n", [24, 25])
+def test_real_arithmetic_matches_the_complex_spectrum(n, case, name):
+    # real coefficients make the matrix symmetric under the reflection
+    # y -> -y with complex conjugation, so it is solved as a real symmetric
+    # matrix: as it stands when it has no imaginary entry (c = 0, m = 1),
+    # in the mirror-pair basis otherwise, where odd n adds the self-mirror
+    # row y = 0.  The reference is the dense spectrum of the complex
+    # Hermitian matrix itself.
+    build, arithmetic = _REAL_FORM_CASES[case]
+    grid = GridSpec(5.0, n)
+    mat = getattr(build(grid), name)
+    assert np.iscomplexobj(mat)
+    exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    for seed in range(3):
+        rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed,
+                           dense_cutoff=0)
+        assert rep.arithmetic == arithmetic
+        assert rep.to_json_dict()["arithmetic"] == arithmetic
+        assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+        assert max(rep.residuals) <= rep.residual_bound
+    assert low_spectrum(mat, 8, grid=grid).arithmetic == arithmetic
 
 
 _HEAP_PROBE = """
@@ -292,6 +340,19 @@ def test_witten_index_of_invertible_operator():
     assert report.n_minus == report.n_plus == 0
     assert report.winding is None  # mass entry is identically zero
     assert report.winding_matches is None
+
+
+@pytest.mark.parametrize("upper, lower, counts", [
+    (Z, ZBAR, (0, 1, -1, -1)),
+    (Z * 2, ZBAR, (0, 1, -1, -1)),
+    (monomial(Fraction(3, 2), pow_z=2), monomial(1, pow_zbar=2), (0, 2, -2, -2)),
+], ids=["anti-vortex-m1", "anti-vortex-m2", "N=-2-m3/2"])
+def test_negative_winding_puts_the_kernel_in_h_plus(upper, lower, counts):
+    # (n_minus, n_plus, delta, winding): the n_plus > 0 side of the census
+    grid = GridSpec(5.0, 48)
+    op_set = operator_set_from_block(_defect(upper, lower), grid)
+    report = witten_index(op_set, grid, IndexParams(k=8))
+    assert (report.n_minus, report.n_plus, report.delta, report.winding) == counts
 
 
 def test_witten_index_json_schema_fields(desk_index):
