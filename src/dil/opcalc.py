@@ -15,6 +15,11 @@ and coefficients are exact complex rationals, so operator identities such as
 the closed forms of the partner Hamiltonians or the involutivity of the
 formal adjoint are decided by equality instead of by a floating tolerance.
 
+A coefficient is three ints: a Gaussian-integer numerator a + b*i over one
+denominator d > 0 with gcd(a, b, d) = 1 (Knuth, TAOCP vol. 2, 4.5.1), so
+arithmetic stays on ints with one gcd per result.  Terms that the calculus
+builds skip the power check of the public ``OperatorTerm`` constructor.
+
 The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
 
@@ -24,6 +29,7 @@ stay inside that family; ``gaussian_apply`` performs the application exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -47,54 +53,93 @@ def as_fraction(x: RationalLike) -> Fraction:
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
 class ComplexRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Stored as private ints (a, b, d), meaning (a + b*i)/d with d > 0 and
+    gcd(a, b, d) = 1, so each value has one form.  Immutable by convention.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re: Fraction | int = 0, im: Fraction | int = 0):
+        re, im = Fraction(re), Fraction(im)
+        return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
+                        re.denominator * im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, ComplexRational):
-            return ComplexRational(self.re * other.re - self.im * other.im,
-                                   self.re * other.im + self.im * other.re)
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(self.re * other, self.im * other)
-        return NotImplemented
+        if type(other) is int or type(other) is Fraction:
+            n = other.numerator
+            return _reduced(self._a * n, self._b * n, self._d * other.denominator)
+        if type(other) is not ComplexRational:
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
+
+    def __eq__(self, other):
+        if type(other) is not ComplexRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._b >= 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
+
+
+def _reduced(a: int, b: int, d: int) -> ComplexRational:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    c = object.__new__(ComplexRational)
+    c._a, c._b, c._d = a, b, d
+    return c
 
 
 def crat(re: RationalLike = 0, im: RationalLike = 0) -> ComplexRational:
@@ -115,9 +160,9 @@ def as_scalar(x: RationalLike | ComplexRational) -> ComplexRational:
     return x if isinstance(x, ComplexRational) else crat(x)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OperatorTerm:
-    """One normal-ordered monomial coeff * z^a * zb^b * d^c * db^d."""
+    """Normal-ordered monomial coeff * z^a * zb^b * d^c * db^d; immutable by convention."""
 
     coeff: ComplexRational
     pow_z: int = 0
@@ -140,6 +185,18 @@ class OperatorTerm:
         return self.pow_d + self.pow_dbar
 
 
+def _term(coeff, pow_z, pow_zbar, pow_d, pow_dbar) -> OperatorTerm:
+    """OperatorTerm whose powers are non-negative ints by construction."""
+    t = object.__new__(OperatorTerm)
+    t.coeff, t.pow_z, t.pow_zbar, t.pow_d, t.pow_dbar = coeff, pow_z, pow_zbar, pow_d, pow_dbar
+    return t
+
+
+def _accumulate(acc: dict, key, c: ComplexRational) -> None:
+    prev = acc.get(key)
+    acc[key] = c if prev is None else prev + c
+
+
 @dataclass(frozen=True)
 class OperatorExpression:
     """Canonical sum of normal-ordered monomials.
@@ -156,10 +213,9 @@ class OperatorExpression:
     def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpression":
         acc: dict[tuple[int, int, int, int], ComplexRational] = {}
         for t in terms:
-            sig = t.signature
-            acc[sig] = acc.get(sig, C_ZERO) + t.coeff
+            _accumulate(acc, t.signature, t.coeff)
         return OperatorExpression(tuple(
-            OperatorTerm(c, *sig) for sig, c in sorted(acc.items()) if not c.is_zero))
+            _term(c, *sig) for sig, c in sorted(acc.items()) if not c.is_zero))
 
     @property
     def is_zero(self) -> bool:
@@ -179,7 +235,7 @@ class OperatorExpression:
         if c.is_zero:
             return OperatorExpression()
         return OperatorExpression(tuple(
-            OperatorTerm(t.coeff * c, *t.signature) for t in self.terms))
+            _term(t.coeff * c, *t.signature) for t in self.terms))
 
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
         return OperatorExpression.from_terms(self.terms + other.terms)
@@ -231,18 +287,18 @@ def normal_order(left: OperatorTerm, right: OperatorTerm) -> list[OperatorTerm]:
     signature appears once; callers canonicalize a whole result with ``from_terms``.
     """
     base = left.coeff * right.coeff
-    out = []
-    for k in range(min(left.pow_d, right.pow_z) + 1):
-        ck = math.comb(left.pow_d, k) * math.comb(right.pow_z, k) * math.factorial(k)
-        for l in range(min(left.pow_dbar, right.pow_zbar) + 1):
-            cl = math.comb(left.pow_dbar, l) * math.comb(right.pow_zbar, l) * math.factorial(l)
-            out.append(OperatorTerm(
-                base * (ck * cl),
-                left.pow_z + right.pow_z - k,
-                left.pow_zbar + right.pow_zbar - l,
-                left.pow_d + right.pow_d - k,
-                left.pow_dbar + right.pow_dbar - l))
-    return out
+    pz, pzb = left.pow_z + right.pow_z, left.pow_zbar + right.pow_zbar
+    pd, pdb = left.pow_d + right.pow_d, left.pow_dbar + right.pow_dbar
+    return [_term(base * (ck * cl), pz - k, pzb - l, pd - k, pdb - l)
+            for k, ck in _contractions(left.pow_d, right.pow_z)
+            for l, cl in _contractions(left.pow_dbar, right.pow_zbar)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _contractions(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    # (k, k! C(m,k) C(n,k)) for every number k of contracted (d, z) pairs
+    return tuple((k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
+                 for k in range(min(m, n) + 1))
 
 
 def expression_adjoint(e: OperatorExpression) -> OperatorExpression:
@@ -253,9 +309,9 @@ def expression_adjoint(e: OperatorExpression) -> OperatorExpression:
     """
     return OperatorExpression.from_terms(
         t for u in e.terms for t in normal_order(
-            OperatorTerm(u.coeff.conjugate() * (-1) ** u.derivative_order,
-                         0, 0, u.pow_dbar, u.pow_d),
-            OperatorTerm(C_ONE, u.pow_zbar, u.pow_z, 0, 0)))
+            _term(u.coeff.conjugate() * (-1) ** u.derivative_order,
+                  0, 0, u.pow_dbar, u.pow_d),
+            _term(C_ONE, u.pow_zbar, u.pow_z, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -275,11 +331,10 @@ class BlockOperator:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[OperatorExpression]]) -> "BlockOperator":
-        nr = len(rows)
         nc = len(rows[0])
         if any(len(r) != nc for r in rows):
             raise ShapeError("ragged block rows")
-        return BlockOperator(nr, nc, tuple(e for r in rows for e in r))
+        return BlockOperator(len(rows), nc, tuple(e for r in rows for e in r))
 
     @staticmethod
     def identity(n: int) -> "BlockOperator":
@@ -327,9 +382,8 @@ def adjoint(a):
     if isinstance(a, OperatorExpression):
         return expression_adjoint(a)
     if isinstance(a, BlockOperator):
-        entries = tuple(expression_adjoint(a.entry(i, j))
-                        for j in range(a.cols) for i in range(a.rows))
-        return BlockOperator(a.cols, a.rows, entries)
+        return BlockOperator(a.cols, a.rows, tuple(
+            expression_adjoint(a.entry(i, j)) for j in range(a.cols) for i in range(a.rows)))
     raise TypeError(f"adjoint expects an expression or block operator, got {type(a)!r}")
 
 
@@ -373,7 +427,7 @@ class GaussianAnsatz:
             raise ValueError("cannot add ansatz functions with different decay rates")
         acc = self.poly_dict
         for k, v in other.poly:
-            acc[k] = acc.get(k, C_ZERO) + v
+            _accumulate(acc, k, v)
         return gaussian(self.alpha, acc)
 
     def __sub__(self, other: "GaussianAnsatz") -> "GaussianAnsatz":
@@ -394,13 +448,9 @@ def gaussian(alpha: RationalLike,
     """Build a GaussianAnsatz; default polynomial part is the constant 1."""
     if poly is None:
         poly = {(0, 0): C_ONE}
-    items = []
-    for key, val in poly.items():
-        c = as_scalar(val)
-        if not c.is_zero:
-            items.append(((int(key[0]), int(key[1])), c))
-    items.sort(key=lambda kv: kv[0])
-    return GaussianAnsatz(as_fraction(alpha), tuple(items))
+    items = sorted((((int(i), int(j)), as_scalar(v)) for (i, j), v in poly.items()),
+                   key=lambda kv: kv[0])
+    return GaussianAnsatz(as_fraction(alpha), tuple(kv for kv in items if not kv[1].is_zero))
 
 
 def _poly_wirtinger(p: PolyDict, alpha: Fraction, axis: int) -> PolyDict:
@@ -411,10 +461,8 @@ def _poly_wirtinger(p: PolyDict, alpha: Fraction, axis: int) -> PolyDict:
     for (i, j), c in p.items():
         power = (i, j)[axis]
         if power > 0:
-            key = (i - down[0], j - down[1])
-            out[key] = out.get(key, C_ZERO) + c * power
-        key = (i + down[1], j + down[0])
-        out[key] = out.get(key, C_ZERO) + c * (-alpha)
+            _accumulate(out, (i - down[0], j - down[1]), c * power)
+        _accumulate(out, (i + down[1], j + down[0]), c * -alpha)
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -427,8 +475,7 @@ def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
             for _ in range(power):
                 p = _poly_wirtinger(p, f.alpha, axis)
         for (i, j), v in p.items():
-            key = (i + t.pow_z, j + t.pow_zbar)
-            acc[key] = acc.get(key, C_ZERO) + v * t.coeff
+            _accumulate(acc, (i + t.pow_z, j + t.pow_zbar), v * t.coeff)
     return gaussian(f.alpha, acc)
 
 
@@ -437,16 +484,11 @@ def block_gaussian_apply(a: BlockOperator,
     """Apply a block operator to a vector of ansatz functions (same alpha)."""
     if len(fs) != a.cols:
         raise ShapeError(f"operator has {a.cols} columns, vector has {len(fs)}")
-    alphas = {f.alpha for f in fs}
-    if len(alphas) != 1:
+    if len({f.alpha for f in fs}) != 1:
         raise ValueError("ansatz components must share one decay rate")
-    out = []
-    for i in range(a.rows):
-        row = gaussian(fs[0].alpha, {})
-        for j in range(a.cols):
-            row = row + gaussian_apply(a.entry(i, j), fs[j])
-        out.append(row)
-    return out
+    zero = gaussian(fs[0].alpha, {})
+    return [sum((gaussian_apply(a.entry(i, j), fs[j]) for j in range(a.cols)), zero)
+            for i in range(a.rows)]
 
 
 def gaussian_inner(f: GaussianAnsatz, g: GaussianAnsatz) -> ComplexRational:
@@ -462,9 +504,8 @@ def gaussian_inner(f: GaussianAnsatz, g: GaussianAnsatz) -> ComplexRational:
     for (a, b), cf in f.poly:
         for (c, dd), cg in g.poly:
             m = b + c
-            if m != a + dd:
-                continue
-            total = total + cf.conjugate() * cg * (Fraction(math.factorial(m)) / s ** (m + 1))
+            if m == a + dd:
+                total = total + cf.conjugate() * cg * (math.factorial(m) / s ** (m + 1))
     return total
 
 
@@ -512,6 +553,5 @@ def parse_expression(text: str) -> OperatorExpression:
         if m is None:
             raise ValueError(f"unparseable operator term: {chunk!r}")
         re_s, im_s, pz, pzb, pd, pdb = m.groups()
-        coeff = ComplexRational(Fraction(re_s), Fraction(im_s))
-        terms.append(OperatorTerm(coeff, int(pz), int(pzb), int(pd), int(pdb)))
+        terms.append(OperatorTerm(crat(re_s, im_s), int(pz), int(pzb), int(pd), int(pdb)))
     return OperatorExpression.from_terms(terms)

@@ -90,8 +90,9 @@ class EigenReport:
     arithmetic: str = "complex"
 
     def to_json_dict(self) -> dict:
+        # version 2 added ordering, lu_fill, n_solves and arithmetic
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),

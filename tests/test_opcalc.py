@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +14,8 @@ from dil import (BlockOperator, GridSpec, ShapeError, adjoint,
                  block_gaussian_apply, compose, crat, gaussian,
                  gaussian_apply, gaussian_inner, monomial, normal_order,
                  parse_expression, render_expression, sample)
-from dil.opcalc import (D, DBAR, ONE, OperatorExpression, OperatorTerm, Z,
-                        ZBAR, ZERO)
+from dil.opcalc import (D, DBAR, ONE, ComplexRational, OperatorExpression,
+                        OperatorTerm, Z, ZBAR, ZERO, render_block)
 from dil.selftest import random_block, random_expression, random_gaussian
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
@@ -313,6 +315,7 @@ def test_every_scalar_route_takes_the_same_scalars(half):
     assert render_expression(Z * half) == "(1/2+0i)*z^1*zb^0*d^0*db^0"
     assert gaussian(1).scale(half) == gaussian(1, {(0, 0): half})
     assert DEFECT.scale(half).entry(1, 0) == expected
+    assert crat(1) * half == half * crat(1) == crat(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("bad", [True, None, 1j, object()])
@@ -325,6 +328,10 @@ def test_scalar_coercion_rejects_non_rationals(bad):
         gaussian(1).scale(bad)
     with pytest.raises(TypeError):
         monomial(bad)
+    with pytest.raises(TypeError):
+        crat(1) * bad
+    with pytest.raises(TypeError):
+        bad * crat(1)
 
 
 def test_parser_rejects_garbage():
@@ -332,3 +339,90 @@ def test_parser_rejects_garbage():
                  "(1-1/00i)*z^0*zb^0*d^0*db^0"):
         with pytest.raises(ValueError):
             parse_expression(text)
+
+
+# --------------------------------------------------------------------------
+# public term contract and coefficient representation
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [-1, 1.0, "1", None])
+def test_operator_term_rejects_bad_powers(position, bad):
+    powers = [0, 1, 2, 0]
+    powers[position] = bad
+    with pytest.raises(ValueError):
+        OperatorTerm(crat(1), *powers)
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 36))
+
+
+def test_complex_rational_agrees_with_a_fraction_pair_reference():
+    rng = random.Random(43)
+    for _ in range(400):
+        p, q, r, s = (_random_fraction(rng) for _ in range(4))
+        x, y = crat(p, q), crat(r, s)
+        n = rng.randint(-12, 12)
+        for value, (re, im) in (
+                (x + y, (p + r, q + s)),
+                (x - y, (p - r, q - s)),
+                (x * y, (p * r - q * s, p * s + q * r)),
+                (-x, (-p, -q)),
+                (x.conjugate(), (p, -q)),
+                (x * n, (p * n, q * n)),
+                (n * x, (p * n, q * n)),
+                (x * r, (p * r, q * r)),
+                (r * x, (p * r, q * r))):
+            assert (value.re, value.im) == (re, im)
+            assert value == ComplexRational(re, im) == crat(re, im)
+            assert hash(value) == hash((re, im))
+            assert value.is_zero == (re == 0 and im == 0)
+            for part in (value.re, value.im):
+                assert type(part) is Fraction
+                assert part.denominator > 0
+                assert math.gcd(part.numerator, part.denominator) == 1
+            sign = "+" if im >= 0 else "-"
+            assert str(value) == f"({re}{sign}{abs(im)}i)"
+            assert repr(value) == f"ComplexRational(re={re!r}, im={im!r})"
+            assert complex(value) == complex(float(re), float(im))
+
+
+def test_equal_values_share_one_representation():
+    half = crat(Fraction(1, 2), 0)
+    assert crat(Fraction(2, 4), 0) == half
+    assert hash(crat(Fraction(2, 4), 0)) == hash(half)
+    assert crat(Fraction(1, 4)) + crat(Fraction(1, 4)) == half
+    assert hash(crat(Fraction(1, 4)) + crat(Fraction(1, 4))) == hash(half)
+    assert crat(Fraction(3, 2), Fraction(1, 2)) - crat(1, Fraction(1, 2)) == half
+    assert crat(1, 1) * crat(1, -1) == crat(2) == 2 * crat(1)
+    assert crat(3, 4) + crat(-3, -4) == ComplexRational() == crat(0)
+    assert str(ComplexRational()) == "(0+0i)"
+    assert repr(crat(Fraction(-6, 4), 2)) == \
+        "ComplexRational(re=Fraction(-3, 2), im=Fraction(2, 1))"
+    assert crat(1) != 1 and crat(1) != Fraction(1)
+
+
+def _render_gaussian(f) -> str:
+    return f"{f.alpha}|" + " + ".join(f"{c}*z^{i}*zb^{j}" for (i, j), c in f.poly)
+
+
+# sha256 of the corpus below; a change means the golden-fixture format moved
+RENDERED_CORPUS_SHA256 = "c7a2eda6825095d80a389add343063c84f2889acd91c6eb9d29975bb047ee48b"
+
+
+def test_rendered_outputs_are_pinned():
+    rng = random.Random(2029)
+    lines = []
+    for _ in range(30):
+        a, b = random_block(rng), random_block(rng)
+        e1, e2 = random_expression(rng), random_expression(rng)
+        f = random_gaussian(rng)
+        g = gaussian(f.alpha, dict(random_gaussian(rng).poly))
+        lines += [" | ".join(row) for row in render_block(compose(a, b))]
+        lines += [" | ".join(row) for row in render_block(adjoint(a))]
+        lines.append(render_expression(e1 * e2))
+        lines.append(_render_gaussian(gaussian_apply(e1, f)))
+        lines += [_render_gaussian(h) for h in block_gaussian_apply(a, [f, g])]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == RENDERED_CORPUS_SHA256

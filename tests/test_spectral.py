@@ -128,6 +128,17 @@ def test_sparse_and_dense_paths_agree(op_set, name):
         (sparse.ordering, sparse.lu_fill, sparse.n_solves, sparse.arithmetic)
 
 
+def test_eigen_report_payload_version_and_keys():
+    g = GridSpec(4.0, 8)
+    eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
+    payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
+    assert payload["schema_version"] == 2
+    assert set(payload) == {
+        "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
+        "residual_bound", "hermiticity_defect", "method", "tol", "ordering",
+        "lu_fill", "n_solves", "arithmetic"}
+
+
 def _defect(upper, lower):
     """[[d, upper], [lower, db]]: lower z^N (N > 0) or zb^|N| sets the winding."""
     return BlockOperator.from_rows([[D, upper], [lower, DBAR]])
