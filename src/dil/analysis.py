@@ -161,8 +161,7 @@ def convergence_study(grids: Sequence[GridSpec],
         op_set = build_operator_set(model, g)
         rep = low_spectrum(op_set.H_minus_mat, max(params.k, 2), params.tol,
                            grid=g, matrix_id=f"H_minus[n={g.n}]",
-                           seed=params.seed, maxiter=params.maxiter,
-                           dense_cutoff=params.dense_cutoff)
+                           seed=params.seed, maxiter=params.maxiter)
         rows.append(ConvergenceRow(
             h=g.h, n=g.n,
             lambda0_error=abs(rep.eigenvalues[0] - 0.0),

@@ -173,7 +173,7 @@ class OperatorTerm:
     def __post_init__(self):
         for name in ("pow_z", "pow_zbar", "pow_d", "pow_dbar"):
             p = getattr(self, name)
-            if not isinstance(p, int) or p < 0:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {p!r}")
 
     @property

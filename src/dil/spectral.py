@@ -31,6 +31,18 @@ imaginary entry (the unperturbed model) is real symmetric as it stands, and
 any other one is compared with P conj(H) P entry by entry.  Operators with
 complex coefficients (the multiplier 1 + 2i) fail the comparison and are
 solved in complex arithmetic.
+
+A two-component Hamiltonian [[A, B], [B*, C]] with C = A and B = B*
+commutes with the on-site swap sigma_x of its two spinor components, so it
+is block diagonal in the basis (u + v, u - v)/sqrt(2), as A + B and A - B:
+two Hermitian problems on the scalar grid.  Both partners of the
+unperturbed defect have this form (B is a real diagonal, and it vanishes
+in the vortex H_plus), and ``low_spectrum`` decides it from the data
+exactly, entry by entry, with no threshold.  Each sector is factored and
+solved as its own matrix, which stores a quarter of the coupled matrix's
+fill, and a level the two sectors share is found in each of them, where
+one Lanczos run over the coupled matrix could return too few copies of
+it.  Each sector then takes the real-arithmetic choice above on its own.
 """
 
 from __future__ import annotations
@@ -49,7 +61,6 @@ from .lattice import Field, GridSpec, localization_fraction, max_abs
 from .opcalc import OperatorExpression, evaluate_multiplication
 from .susy import DefectOperatorSet, ModelSpec
 
-DENSE_CUTOFF = 4000
 SHIFT = -0.5
 ORDERING = "MMD_AT_PLUS_A"
 
@@ -88,11 +99,14 @@ class EigenReport:
     lu_fill: int = 0
     n_solves: int = 0
     arithmetic: str = "complex"
+    sectors: int = 1
+    identical_sectors: bool = False
 
     def to_json_dict(self) -> dict:
-        # version 2 added ordering, lu_fill, n_solves and arithmetic
+        # version 2 added ordering, lu_fill, n_solves and arithmetic;
+        # version 3 added sectors and identical_sectors
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),
@@ -105,55 +119,68 @@ class EigenReport:
             "lu_fill": self.lu_fill,
             "n_solves": self.n_solves,
             "arithmetic": self.arithmetic,
+            "sectors": self.sectors,
+            "identical_sectors": self.identical_sectors,
         }
 
 
 def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
                  grid: GridSpec, matrix_id: str = "", seed: int = 0,
-                 maxiter: Optional[int] = None,
-                 dense_cutoff: int = DENSE_CUTOFF) -> EigenReport:
+                 maxiter: Optional[int] = None) -> EigenReport:
     """k smallest eigenpairs of a Hermitian matrix on the grid.
 
     The matrix is symmetrized as (A + A*)/2 and the relative defect is
-    recorded.  Below ``dense_cutoff`` unknowns a dense solve is used;
-    otherwise shift-invert Lanczos (ARPACK's Arnoldi for the complex
-    matrices that have to stay complex, see below)
+    recorded.  The spectrum comes from shift-invert Lanczos (ARPACK's
+    Arnoldi for the complex matrices that have to stay complex, see below)
     at sigma = -0.5 with a seeded start vector, which makes repeated runs
     reproducible.  tol = 0 requests machine precision; a post-hoc residual
     bound check refuses eigenpairs that a loose tolerance left inaccurate.
+    Each eigenvalue is reported as the Rayleigh quotient of its returned
+    vector against the symmetrized matrix.
 
-    The shifted matrix A + 0.5 I is factored once, explicitly, by SuperLU
-    with the minimum-degree ordering on the pattern of A^T + A, and every
+    A two-component matrix [[A, B], [B*, C]] with A == C and B == B*, entry
+    by entry, commutes with the swap of its spinor components (module
+    docstring) and is solved as its two sectors A + B and A - B, each for k
+    pairs; the k lowest of the two are kept and their vectors mapped back
+    as (w, w)/sqrt(2) and (w, -w)/sqrt(2).  When B has no nonzero entry,
+    both sectors are A: it is solved once, for ceil(k/2) pairs, and each
+    pair is returned twice, as (w, 0) and (0, w).  Every other matrix is one
+    sector, solved as it is.  ``sectors`` and ``identical_sectors`` in the
+    report say which case applied; ``lu_fill`` and ``n_solves`` sum over
+    the sectors.  The residuals and their bound are those of the full
+    matrix.
+
+    Each sector minus sigma is factored once, explicitly, by SuperLU with
+    the minimum-degree ordering on the pattern of A^T + A, and every
     shift-invert step is a solve with that factorization.  The stencils
     give a structurally symmetric pattern, for which this ordering stores
     about half the L+U entries of SuperLU's default column ordering
     (COLAMD) from the desk grid (n = 96) up, so both the factorization and
     each of the solves are cheaper.  The factorization is made in the
-    matrix's own dtype, the one ARPACK iterates in, so a real matrix never
+    sector's own dtype, the one ARPACK iterates in, so a real matrix never
     meets a complex solve.  The report records the ordering, the number of
     entries SuperLU stores for L and U (``lu_fill``) and the number of
-    solves.  Free C-heap pages are handed back to the system before the
+    solves.  Free C-heap pages are handed back to the system before each
     factorization, so that the peak memory of a run does not depend on the
     order of its earlier allocations.
 
-    A complex matrix is solved in real arithmetic when the symmetrized A
-    allows it, decided by exact comparison (module docstring).  With no
-    imaginary entry, A is solved as the real matrix it is.  Otherwise A must
-    be T-symmetric: P conj(A) P must equal A bitwise, where P maps node row
-    j to row n-1-j in every component.  Then the unitary Q whose columns
-    are (e_a + e_Pa)/sqrt(2) and i(e_a - e_Pa)/sqrt(2) for each mirror pair
+    A complex sector is solved in real arithmetic when it allows it,
+    decided by exact comparison (module docstring).  With no imaginary
+    entry, it is solved as the real matrix it is.  Otherwise it must be
+    T-symmetric: P conj(S) P must equal S bitwise, where P maps node row j
+    to row n-1-j in every component.  Then the unitary Q whose columns are
+    (e_a + e_Pa)/sqrt(2) and i(e_a - e_Pa)/sqrt(2) for each mirror pair
     a < Pa, side by side, and e_f for each node f = Pf on the y = 0 row of
-    an odd grid, gives the real symmetric R = Re(Q* A Q) with the spectrum
-    of A.  R takes the place of A in the dense and the sparse solve alike,
-    the eigenvectors are mapped back as v = Q w, and the residuals and
-    their bound are those of the complex A.  Keeping the two columns of a
-    pair side by side keeps the fill of the factorization low.  A matrix
-    with no imaginary entry does not take this basis: there R splits
-    exactly into the mirror-even and mirror-odd columns, and shift-invert
-    Lanczos on it returned too few copies of a degenerate level (the n = 24
-    vortex H_plus, at three of eight start vectors), where the plain real
-    solve returns them all.  ``arithmetic`` in the report says which
-    arithmetic the solve ran in; a real matrix is solved as it is.
+    an odd grid, gives the real symmetric R = Re(Q* S Q) with the spectrum
+    of S.  R takes the place of S in the solve and the eigenvectors are
+    mapped back as v = Q w.  Keeping the two columns of a pair side by side
+    keeps the fill of the factorization low.  A sector with no imaginary
+    entry does not take this basis: there R splits exactly into the
+    mirror-even and mirror-odd columns, and shift-invert Lanczos on it
+    returned too few copies of a degenerate level (the n = 24 vortex
+    H_plus, at three of eight start vectors), where the plain real solve
+    returns them all.  ``arithmetic`` in the report is "real" when every
+    sector was solved in real arithmetic.
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
@@ -170,64 +197,53 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     scale = max(max_abs(a), 1e-300)
     defect = max_abs(a - a_dag) / scale
     herm = ((a + a_dag) * 0.5).tocsr()
-    solve_mat, basis = herm, None
-    if np.iscomplexobj(herm):
-        if not herm.data.imag.any():
-            solve_mat = herm.real
-        else:
-            mirror = _mirror(grid, components)
-            if (herm.conj()[mirror][:, mirror] != herm).nnz == 0:
-                solve_mat, basis = _real_form(herm, mirror)
+    del a_dag
 
-    ordering, lu_fill, n_solves = None, 0, 0
-    if dim <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(solve_mat.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-        method = "dense"
+    sectors, identical = [herm], False
+    if components == 2:
+        upper, coupling = herm[:n2, :n2], herm[:n2, n2:]
+        if ((upper != herm[n2:, n2:]).nnz == 0
+                and (coupling != coupling.getH()).nnz == 0):
+            identical = not coupling.data.any()
+            sectors = [upper] if identical else [upper + coupling, upper - coupling]
+        del upper, coupling
+    split = sectors[0] is not herm
+
+    rng = np.random.default_rng(seed)
+    ncv = max(4 * min(k, dim - 2), 40)
+    solved, lu_fill, n_solves, real = [], 0, 0, True
+    for mat in sectors:
+        vals, vecs, fill, solves, sector_real = _shift_invert(
+            mat, -(-k // 2) if identical else k, tol, rng, ncv, grid, matrix_id,
+            maxiter)
+        solved.append((vals, vecs))
+        lu_fill, n_solves, real = lu_fill + fill, n_solves + solves, real and sector_real
+    if identical:
+        (vals, w), = solved
+        z = np.zeros_like(w)
+        vals, vecs = np.concatenate((vals, vals)), np.block([[w, z], [z, w]])
+    elif split:
+        (plus, wp), (minus, wm) = solved
+        vals = np.concatenate((plus, minus))
+        vecs = np.block([[wp, wm], [wp, -wm]]) * np.sqrt(0.5)
     else:
-        k_eff = min(k, dim - 2)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        ncv = min(dim, max(4 * k_eff, 40))
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
-        shifted = solve_mat - SHIFT * sp.identity(dim, dtype=solve_mat.dtype,
-                                                  format="csr")
-        lu = spla.splu(shifted.tocsc(), permc_spec=ORDERING)
-        ordering, lu_fill = ORDERING, int(lu.nnz)
-
-        def solve(x):
-            nonlocal n_solves
-            n_solves += 1
-            return lu.solve(x)
-
-        op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=solve_mat.dtype)
-        try:
-            vals, vecs = spla.eigsh(solve_mat, k=k_eff, sigma=SHIFT, which="LM",
-                                    v0=v0, tol=tol, ncv=ncv, maxiter=maxiter,
-                                    OPinv=op_inv)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                f"eigensolver did not converge on {matrix_id or 'matrix'}: "
-                f"{len(exc.eigenvalues)}/{k_eff} pairs after "
-                f"{maxiter if maxiter is not None else 'default'} iterations",
-                matrix_id=matrix_id, requested=k_eff,
-                converged=len(exc.eigenvalues), maxiter=maxiter) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        method = "shift-invert"
-    if basis is not None:
-        vecs = basis @ vecs
+        (vals, vecs), = solved
+    vecs = vecs[:, np.argsort(vals, kind="stable")[:k]]
 
     residual_bound = 100.0 * max(tol, 1e-13) * max(scale, 1.0)
-    eigenvalues, fields, residuals = [], [], []
-    for i in range(vals.shape[0]):
+    pairs = []
+    for i in range(vecs.shape[1]):
         v = vecs[:, i]
+        hv = herm @ v
         nrm = np.linalg.norm(v)
-        res = float(np.linalg.norm(herm @ v - vals[i] * v) / nrm)
-        eigenvalues.append(float(vals[i].real))
-        fields.append(Field(grid, components, v / (nrm * grid.h)))
-        residuals.append(res)
+        u = v.astype(hv.dtype, copy=False)  # one dot product kernel for both
+        lam = float(np.vdot(u, hv).real / np.vdot(u, u).real)
+        res = float(np.linalg.norm(hv - lam * v) / nrm)
+        pairs.append((lam, Field(grid, components, v / (nrm * grid.h)), res))
+    pairs.sort(key=lambda pair: pair[0])
+    eigenvalues = [lam for lam, _, _ in pairs]
+    fields = [field for _, field, _ in pairs]
+    residuals = [res for _, _, res in pairs]
     worst = max(residuals, default=0.0)
     if worst > residual_bound:
         raise SolverError(
@@ -238,9 +254,61 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     return EigenReport(matrix_id=matrix_id, grid=grid, eigenvalues=eigenvalues,
                        vectors=fields, residuals=residuals,
                        residual_bound=residual_bound,
-                       hermiticity_defect=float(defect), method=method, tol=tol,
-                       ordering=ordering, lu_fill=lu_fill, n_solves=n_solves,
-                       arithmetic="complex" if np.iscomplexobj(solve_mat) else "real")
+                       hermiticity_defect=float(defect), method="shift-invert",
+                       tol=tol, ordering=ORDERING, lu_fill=lu_fill,
+                       n_solves=n_solves, arithmetic="real" if real else "complex",
+                       sectors=2 if split else 1, identical_sectors=identical)
+
+
+def _shift_invert(mat: sp.csr_matrix, k: int, tol: float, rng: np.random.Generator,
+                  ncv: int, grid: GridSpec, matrix_id: str, maxiter: Optional[int]
+                  ) -> tuple[np.ndarray, np.ndarray, int, int, bool]:
+    """k lowest eigenpairs of one Hermitian sector by shift-invert Lanczos.
+
+    Returns the eigenvalues, the eigenvectors as columns in the sector's
+    own basis, the L+U fill, the number of solves and whether the solve ran
+    in real arithmetic.
+    """
+    dim = mat.shape[0]
+    solve_mat, basis = mat, None
+    if np.iscomplexobj(mat):
+        if not mat.data.imag.any():
+            solve_mat = mat.real
+        else:
+            mirror = _mirror(grid, dim // grid.num_nodes)
+            if (mat.conj()[mirror][:, mirror] != mat).nnz == 0:
+                solve_mat, basis = _real_form(mat, mirror)
+
+    k_eff = min(k, dim - 2)
+    v0 = rng.standard_normal(dim)
+    ncv = min(dim, ncv)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    shifted = solve_mat - SHIFT * sp.identity(dim, dtype=solve_mat.dtype, format="csr")
+    lu = spla.splu(shifted.tocsc(), permc_spec=ORDERING)
+    del shifted
+    n_solves = 0
+
+    def solve(x):
+        nonlocal n_solves
+        n_solves += 1
+        return lu.solve(x)
+
+    op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=solve_mat.dtype)
+    try:
+        vals, vecs = spla.eigsh(solve_mat, k=k_eff, sigma=SHIFT, which="LM",
+                                v0=v0, tol=tol, ncv=ncv, maxiter=maxiter,
+                                OPinv=op_inv)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"eigensolver did not converge on {matrix_id or 'matrix'}: "
+            f"{len(exc.eigenvalues)}/{k_eff} pairs after "
+            f"{maxiter if maxiter is not None else 'default'} iterations",
+            matrix_id=matrix_id, requested=k_eff,
+            converged=len(exc.eigenvalues), maxiter=maxiter) from exc
+    if basis is not None:
+        vecs = basis @ vecs
+    return vals, vecs, int(lu.nnz), n_solves, not np.iscomplexobj(solve_mat)
 
 
 def _mirror(grid: GridSpec, components: int) -> np.ndarray:
@@ -343,7 +411,6 @@ class IndexParams:
     loc_min: float = 0.95
     winding_radius: float = 1.0
     winding_samples: int = 256
-    dense_cutoff: int = DENSE_CUTOFF
 
 
 @dataclass
@@ -397,10 +464,10 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
 
     rm = low_spectrum(op_set.H_minus_mat, params.k, params.tol, grid=grid,
                       matrix_id="H_minus", seed=params.seed,
-                      maxiter=params.maxiter, dense_cutoff=params.dense_cutoff)
+                      maxiter=params.maxiter)
     rp = low_spectrum(op_set.H_plus_mat, params.k, params.tol, grid=grid,
                       matrix_id="H_plus", seed=params.seed,
-                      maxiter=params.maxiter, dense_cutoff=params.dense_cutoff)
+                      maxiter=params.maxiter)
 
     gap = params.gap_threshold
     if gap is None:

@@ -84,7 +84,7 @@ def test_sweep_row_order_follows_input(desk_grid):
 
 def test_convergence_study_second_order():
     grids = [GridSpec(4.0, n) for n in (21, 31, 41)]
-    report = convergence_study(grids, params=IndexParams(k=3, dense_cutoff=0))
+    report = convergence_study(grids, params=IndexParams(k=3))
     assert 1.7 <= report.order_second <= 2.3
     assert report.monotone_smallest
     assert report.monotone_second

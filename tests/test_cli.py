@@ -16,7 +16,7 @@ from dil.errors import ConfigError
 ROOT = Path(__file__).resolve().parent.parent
 
 FAST_CONFIG = """\
-# small grid: dense solver path, still resolves the zero mode
+# small grid, still resolves the zero mode
 grid.L = 4.5
 grid.n = 24
 solver.k = 6

@@ -346,7 +346,7 @@ def test_parser_rejects_garbage():
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("position", range(4))
-@pytest.mark.parametrize("bad", [-1, 1.0, "1", None])
+@pytest.mark.parametrize("bad", [-1, 1.0, "1", None, True, False])
 def test_operator_term_rejects_bad_powers(position, bad):
     powers = [0, 1, 2, 0]
     powers[position] = bad

@@ -19,7 +19,6 @@ from dil import (BlockOperator, ContourError,
                  operator_set_from_block, pairing_check, winding_number,
                  witten_index)
 from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO, crat
-from dil.spectral import DENSE_CUTOFF
 
 OSCILLATOR_TOL = 0.05
 
@@ -34,7 +33,6 @@ def test_identity_matrix_spectrum():
     rep = low_spectrum(eye, 3, grid=g, matrix_id="identity")
     assert rep.eigenvalues == pytest.approx([1.0, 1.0, 1.0], abs=0)
     assert rep.residuals == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
-    assert rep.method == "dense"
 
 
 def test_h_minus_oscillator_oracle(desk_index):
@@ -79,12 +77,11 @@ def test_low_spectrum_nonconvergence_raises(desk_set, desk_grid, monkeypatch):
     assert exc_info.value.converged == 0
 
 
-def test_real_matrix_above_dense_cutoff_gets_exact_spectrum():
+def test_real_matrix_gets_exact_spectrum():
     # a real matrix makes ARPACK iterate in real arithmetic; a complex solve
     # would be cast back to real with a ComplexWarning
     g = GridSpec(4.0, 64)
     dim = g.num_nodes
-    assert dim > DENSE_CUTOFF
     diagonal = np.random.default_rng(3).permutation(np.arange(1.0, dim + 1.0))
     a = sp.diags(diagonal, format="csr")
     with warnings.catch_warnings():
@@ -106,21 +103,15 @@ _SMALL = GridSpec(5.0, 24)
 ], ids=["vortex-c0.3", "anti-vortex"])
 @pytest.mark.parametrize("name", ["H_minus_mat", "H_plus_mat"])
 def test_sparse_and_dense_paths_agree(op_set, name):
-    # k = 8, the default solver.k; the anti-vortex H_minus has a fourfold
-    # level at 1.93 that a window of k = 6 cuts, and there shift-invert
-    # Lanczos can return three copies and the next level in place of the
-    # fourth, depending on the start vector
+    # k = 8, the default solver.k; the reference is the dense spectrum
     mat = getattr(op_set, name)
-    assert mat.shape[0] <= DENSE_CUTOFF
-    dense = low_spectrum(mat, 8, grid=_SMALL, matrix_id=name)
-    sparse = low_spectrum(mat, 8, grid=_SMALL, matrix_id=name, dense_cutoff=0)
-    assert dense.method == "dense"
-    assert (dense.ordering, dense.lu_fill, dense.n_solves) == (None, 0, 0)
+    dense = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    sparse = low_spectrum(mat, 8, grid=_SMALL, matrix_id=name)
     assert sparse.method == "shift-invert"
     assert sparse.ordering == "MMD_AT_PLUS_A"
     assert sparse.lu_fill > 0
     assert sparse.n_solves >= 8
-    assert np.max(np.abs(np.subtract(sparse.eigenvalues, dense.eigenvalues))) \
+    assert np.max(np.abs(np.subtract(sparse.eigenvalues, dense))) \
         <= sparse.residual_bound
     payload = sparse.to_json_dict()
     assert (payload["ordering"], payload["lu_fill"], payload["n_solves"],
@@ -132,11 +123,13 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
         "residual_bound", "hermiticity_defect", "method", "tol", "ordering",
-        "lu_fill", "n_solves", "arithmetic"}
+        "lu_fill", "n_solves", "arithmetic", "sectors", "identical_sectors"}
+    # the identity is [[I, 0], [0, I]]: two identical sectors
+    assert (payload["sectors"], payload["identical_sectors"]) == (2, True)
 
 
 def _defect(upper, lower):
@@ -149,14 +142,15 @@ def _block_set(upper, lower):
 
 
 _REAL_FORM_CASES = {
-    "vortex-c0": (lambda grid: build_operator_set(ModelSpec(), grid), "real"),
+    # builder, arithmetic, and the number of sectors of both partners
+    "vortex-c0": (lambda grid: build_operator_set(ModelSpec(), grid), "real", 2),
     "vortex-c0.3": (lambda grid: build_operator_set(ModelSpec(epsilon="0.3"), grid),
-                    "real"),
-    "anti-vortex-m1": (_block_set(Z, ZBAR), "real"),
-    "anti-vortex-m41/20": (_block_set(Z * Fraction(41, 20), ZBAR), "real"),
+                    "real", 1),
+    "anti-vortex-m1": (_block_set(Z, ZBAR), "real", 2),
+    "anti-vortex-m41/20": (_block_set(Z * Fraction(41, 20), ZBAR), "real", 1),
     "N=2-m5/2": (_block_set(monomial(Fraction(5, 2), pow_zbar=2),
-                            monomial(1, pow_z=2)), "real"),
-    "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), "complex"),
+                            monomial(1, pow_z=2)), "real", 1),
+    "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), "complex", 1),
 }
 
 
@@ -169,20 +163,67 @@ def test_real_arithmetic_matches_the_complex_spectrum(n, case, name):
     # matrix: as it stands when it has no imaginary entry (c = 0, m = 1),
     # in the mirror-pair basis otherwise, where odd n adds the self-mirror
     # row y = 0.  The reference is the dense spectrum of the complex
-    # Hermitian matrix itself.
-    build, arithmetic = _REAL_FORM_CASES[case]
+    # Hermitian matrix itself.  Only the partners with a unit mass
+    # multiplier (c = 0, m = 1) commute with the swap of the spinor
+    # components and split into two sectors.
+    build, arithmetic, sectors = _REAL_FORM_CASES[case]
     grid = GridSpec(5.0, n)
     mat = getattr(build(grid), name)
     assert np.iscomplexobj(mat)
     exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
     for seed in range(3):
-        rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed,
-                           dense_cutoff=0)
+        rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed)
         assert rep.arithmetic == arithmetic
         assert rep.to_json_dict()["arithmetic"] == arithmetic
+        assert rep.to_json_dict()["sectors"] == rep.sectors == sectors
         assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
         assert max(rep.residuals) <= rep.residual_bound
     assert low_spectrum(mat, 8, grid=grid).arithmetic == arithmetic
+
+
+_SWAP_CASES = {
+    # builder, then (sectors, identical_sectors) of H_minus and of H_plus
+    "vortex-t1": (lambda grid: build_operator_set(ModelSpec(), grid),
+                  (2, False), (2, True)),
+    "vortex-t2": (lambda grid: build_operator_set(ModelSpec(t=2), grid),
+                  (2, False), (2, True)),
+    "anti-vortex-m1": (_block_set(Z, ZBAR), (2, True), (2, False)),
+    "N=2-m1": (_block_set(monomial(1, pow_zbar=2), monomial(1, pow_z=2)),
+               (1, False), (2, True)),
+    "N=-2-m1": (_block_set(monomial(1, pow_z=2), monomial(1, pow_zbar=2)),
+                (2, True), (1, False)),
+}
+
+
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("case", list(_SWAP_CASES))
+def test_swap_sectors_match_the_dense_spectrum(case, n):
+    # a partner [[A, B], [B*, A]] with B = B* commutes with the swap of its
+    # spinor components and is solved as A + B and A - B, or once as A when
+    # B = 0; the merged spectrum is the dense one, every copy of a
+    # degenerate level included, from every start vector, and the returned
+    # vectors are orthonormal
+    build, *splits = _SWAP_CASES[case]
+    grid = GridSpec(5.0, n)
+    op_set = build(grid)
+    for name, split in zip(("H_minus_mat", "H_plus_mat"), splits):
+        mat = getattr(op_set, name)
+        exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+        for seed in range(8):
+            rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed)
+            assert (rep.sectors, rep.identical_sectors) == split
+            assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+            assert max(rep.residuals) <= rep.residual_bound
+            vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
+            assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
+
+
+def test_swap_split_keeps_every_copy_of_a_degenerate_level(desk_set, desk_grid):
+    # the vortex H_plus is [[A, 0], [0, A]]; at this start seed, one
+    # Lanczos run over the coupled matrix returned its fourfold level
+    # 1.995835 three times and 2.993057 in place of the fourth
+    rep = low_spectrum(desk_set.H_plus_mat, 8, grid=desk_grid, seed=622435680)
+    assert sum(abs(v - 1.995835) < 1e-6 for v in rep.eigenvalues) == 4
 
 
 _HEAP_PROBE = """
@@ -202,8 +243,7 @@ del big
 mid = np.ones(2**20)
 del mid
 before = resident_mb()
-low_spectrum(sp.identity(64, format="csr"), 2, grid=GridSpec(4.0, 8),
-             dense_cutoff=0)
+low_spectrum(sp.identity(64, format="csr"), 2, grid=GridSpec(4.0, 8))
 print(before - resident_mb())
 """
 
@@ -235,7 +275,7 @@ def test_count_zero_modes_unperturbed(desk_index, desk_grid):
 def test_count_zero_modes_empty_report(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
-                        hermiticity_defect=0.0, method="dense", tol=0.0)
+                        hermiticity_defect=0.0, method="shift-invert", tol=0.0)
     assert mode_census(empty, desk_grid, 0.5, desk_grid.L / 2, 0.95) == (0, [], False)
 
 
@@ -390,7 +430,7 @@ def test_pairing_of_unperturbed_partners(desk_index):
 def test_pairing_empty_spectra(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
-                        hermiticity_defect=0.0, method="dense", tol=0.0)
+                        hermiticity_defect=0.0, method="shift-invert", tol=0.0)
     report = pairing_check(empty, empty, cutoff=2.5)
     assert report.all_matched
     assert report.pairs == []
@@ -408,7 +448,7 @@ def test_pairing_reports_mismatches(desk_index, desk_grid):
     shifted = EigenReport(matrix_id="shifted", grid=desk_grid,
                           eigenvalues=[v + 0.3 for v in desk_index.eigenvalues_plus],
                           vectors=[], residuals=[], residual_bound=0.0,
-                          hermiticity_defect=0.0, method="dense", tol=0.0)
+                          hermiticity_defect=0.0, method="shift-invert", tol=0.0)
     report = pairing_check(desk_index.minus_report, shifted, cutoff=1.5, tol=0.05)
     assert not report.all_matched
     assert report.unmatched_minus
