@@ -159,9 +159,8 @@ def convergence_study(grids: Sequence[GridSpec],
     rows = []
     for g in sorted(grids, key=lambda g: -g.h):
         op_set = build_operator_set(model, g)
-        rep = low_spectrum(op_set.H_minus_mat, max(params.k, 2), params.tol,
-                           grid=g, matrix_id=f"H_minus[n={g.n}]",
-                           seed=params.seed, maxiter=params.maxiter)
+        rep = low_spectrum(op_set.H_minus_mat, max(params.k, 2), grid=g,
+                           matrix_id=f"H_minus[n={g.n}]", seed=params.seed)
         rows.append(ConvergenceRow(
             h=g.h, n=g.n,
             lambda0_error=abs(rep.eigenvalues[0] - 0.0),

@@ -60,12 +60,6 @@ def _parse_auto_or_number(x: Any, key: str) -> Optional[float]:
     return _parse_number(x, key)
 
 
-def _parse_optional_int(x: Any, key: str) -> Optional[int]:
-    if x is None:
-        return None
-    return _parse_int(x, key)
-
-
 def _key(default: Any, parse: Callable[[Any, str], Any],
          rule: Optional[tuple] = None) -> Any:
     """One config key: its default, its parser and an optional (check, text)
@@ -93,11 +87,7 @@ class ExperimentConfig:
     model_epsilon: float = _key(0.0, _parse_number)
     model_f1: float = _key(1.0, _parse_number)
     model_f1_series: list[float] = _key([], _parse_number_list)
-    model_f2: float = _key(0.0, _parse_number)
-    solver_tol: float = _key(0.0, _parse_number, (
-        lambda v: v >= 0, "must be non-negative (0 = machine precision)"))
     solver_k: int = _key(8, _parse_int, _AT_LEAST_ONE)
-    solver_maxiter: Optional[int] = _key(None, _parse_optional_int, _AT_LEAST_ONE)
     index_gap_threshold: Optional[float] = _key(None, _parse_auto_or_number, _POSITIVE)
     index_loc_radius: Optional[float] = _key(None, _parse_auto_or_number, _POSITIVE)
     index_loc_min: float = _key(0.95, _parse_number, (
@@ -117,12 +107,10 @@ class ExperimentConfig:
     def model(self) -> ModelSpec:
         return ModelSpec(t=self.model_t, epsilon=self.model_epsilon,
                          f1_value=self.model_f1,
-                         f1_series=tuple(self.model_f1_series),
-                         f2_value=self.model_f2)
+                         f1_series=tuple(self.model_f1_series))
 
     def index_params(self) -> IndexParams:
-        return IndexParams(k=self.solver_k, tol=self.solver_tol, seed=self.seed,
-                           maxiter=self.solver_maxiter,
+        return IndexParams(k=self.solver_k, seed=self.seed,
                            gap_threshold=self.index_gap_threshold,
                            loc_radius=self.index_loc_radius,
                            loc_min=self.index_loc_min,
@@ -293,8 +281,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
 def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
     grids = [GridSpec(cfg.grid_L, int(n)) for n in cfg.convergence_n_values]
     report = convergence_study(grids, cfg.model(),
-                               IndexParams(k=max(3, cfg.solver_k), tol=cfg.solver_tol,
-                                           seed=cfg.seed, maxiter=cfg.solver_maxiter))
+                               IndexParams(k=max(3, cfg.solver_k), seed=cfg.seed))
     ok = 1.7 <= report.order_second <= 2.3 and report.monotone_smallest
     results = report.to_json_dict()
     header = [f.name for f in fields(ConvergenceRow)]
@@ -376,7 +363,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     elapsed = time.perf_counter() - t0
 
     report = {
-        "schema_version": 2,
+        "schema_version": 3,
         "package_version": __version__,
         "subcommand": args.subcommand,
         "seed": cfg.seed,

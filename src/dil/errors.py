@@ -44,9 +44,8 @@ class SolverError(DilError):
     """
 
     def __init__(self, message: str, *, matrix_id: str = "", requested: int = 0,
-                 converged: int = 0, maxiter: int | None = None):
+                 converged: int = 0):
         super().__init__(message)
         self.matrix_id = matrix_id
         self.requested = requested
         self.converged = converged
-        self.maxiter = maxiter

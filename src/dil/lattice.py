@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
@@ -55,8 +56,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.L > 0:
             raise ValueError(f"grid half-width must be positive, got {self.L}")
-        if not isinstance(self.n, int) or self.n < 8:
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
+                or self.n < 8):
             raise ValueError(f"grid needs at least 8 points per axis, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:
@@ -280,9 +283,12 @@ def matrix_to_csv(mat: sp.spmatrix, path) -> None:
 
 
 def matrix_from_csv(path, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Read a matrix back; each (row, col) may appear at most once."""
     cells = _read_csv(path, _MATRIX_HEADER)
     vals = [complex(float(re_s), float(im_s)) for _, _, re_s, im_s in cells]
     ij = ([int(row[0]) for row in cells], [int(row[1]) for row in cells])
+    if len(set(zip(*ij))) != len(cells):
+        raise ValueError(f"{path} lists some (row, col) more than once")
     return sp.coo_matrix((vals, ij), shape=shape).tocsr()
 
 

@@ -222,10 +222,6 @@ class OperatorExpression:
         return not self.terms
 
     @property
-    def derivative_order(self) -> int:
-        return max((t.derivative_order for t in self.terms), default=0)
-
-    @property
     def is_multiplication(self) -> bool:
         """True when the expression contains no derivatives at all."""
         return all(t.derivative_order == 0 for t in self.terms)

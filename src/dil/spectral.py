@@ -94,7 +94,6 @@ class EigenReport:
     residual_bound: float
     hermiticity_defect: float
     method: str
-    tol: float
     ordering: Optional[str] = None
     lu_fill: int = 0
     n_solves: int = 0
@@ -104,9 +103,9 @@ class EigenReport:
 
     def to_json_dict(self) -> dict:
         # version 2 added ordering, lu_fill, n_solves and arithmetic;
-        # version 3 added sectors and identical_sectors
+        # version 3 added sectors and identical_sectors; version 4 dropped tol
         return {
-            "schema_version": 3,
+            "schema_version": 4,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),
@@ -114,7 +113,6 @@ class EigenReport:
             "residual_bound": self.residual_bound,
             "hermiticity_defect": self.hermiticity_defect,
             "method": self.method,
-            "tol": self.tol,
             "ordering": self.ordering,
             "lu_fill": self.lu_fill,
             "n_solves": self.n_solves,
@@ -124,17 +122,17 @@ class EigenReport:
         }
 
 
-def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
-                 grid: GridSpec, matrix_id: str = "", seed: int = 0,
-                 maxiter: Optional[int] = None) -> EigenReport:
+def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
+                 seed: int = 0) -> EigenReport:
     """k smallest eigenpairs of a Hermitian matrix on the grid.
 
     The matrix is symmetrized as (A + A*)/2 and the relative defect is
     recorded.  The spectrum comes from shift-invert Lanczos (ARPACK's
     Arnoldi for the complex matrices that have to stay complex, see below)
     at sigma = -0.5 with a seeded start vector, which makes repeated runs
-    reproducible.  tol = 0 requests machine precision; a post-hoc residual
-    bound check refuses eigenpairs that a loose tolerance left inaccurate.
+    reproducible at a fixed BLAS thread count.  ARPACK runs to machine
+    precision; a post-hoc check refuses any residual above 1e-11 times the
+    largest entry magnitude (at least 1).
     Each eigenvalue is reported as the Rayleigh quotient of its returned
     vector against the symmetrized matrix.
 
@@ -184,8 +182,6 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
-    if tol < 0:
-        raise ValueError(f"solver tolerance must be non-negative, got {tol}")
     dim = a.shape[0]
     n2 = grid.num_nodes
     if dim % n2 != 0:
@@ -214,8 +210,7 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
     solved, lu_fill, n_solves, real = [], 0, 0, True
     for mat in sectors:
         vals, vecs, fill, solves, sector_real = _shift_invert(
-            mat, -(-k // 2) if identical else k, tol, rng, ncv, grid, matrix_id,
-            maxiter)
+            mat, -(-k // 2) if identical else k, rng, ncv, grid, matrix_id)
         solved.append((vals, vecs))
         lu_fill, n_solves, real = lu_fill + fill, n_solves + solves, real and sector_real
     if identical:
@@ -230,7 +225,7 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
         (vals, vecs), = solved
     vecs = vecs[:, np.argsort(vals, kind="stable")[:k]]
 
-    residual_bound = 100.0 * max(tol, 1e-13) * max(scale, 1.0)
+    residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
     pairs = []
     for i in range(vecs.shape[1]):
         v = vecs[:, i]
@@ -249,19 +244,18 @@ def low_spectrum(a: sp.spmatrix, k: int, tol: float = 0.0, *,
         raise SolverError(
             f"{matrix_id or 'matrix'}: eigenpair residual {worst:.3e} exceeds "
             f"the bound {residual_bound:.3e}",
-            matrix_id=matrix_id, requested=k, converged=len(eigenvalues),
-            maxiter=maxiter)
+            matrix_id=matrix_id, requested=k, converged=len(eigenvalues))
     return EigenReport(matrix_id=matrix_id, grid=grid, eigenvalues=eigenvalues,
                        vectors=fields, residuals=residuals,
                        residual_bound=residual_bound,
                        hermiticity_defect=float(defect), method="shift-invert",
-                       tol=tol, ordering=ORDERING, lu_fill=lu_fill,
+                       ordering=ORDERING, lu_fill=lu_fill,
                        n_solves=n_solves, arithmetic="real" if real else "complex",
                        sectors=2 if split else 1, identical_sectors=identical)
 
 
-def _shift_invert(mat: sp.csr_matrix, k: int, tol: float, rng: np.random.Generator,
-                  ncv: int, grid: GridSpec, matrix_id: str, maxiter: Optional[int]
+def _shift_invert(mat: sp.csr_matrix, k: int, rng: np.random.Generator, ncv: int,
+                  grid: GridSpec, matrix_id: str
                   ) -> tuple[np.ndarray, np.ndarray, int, int, bool]:
     """k lowest eigenpairs of one Hermitian sector by shift-invert Lanczos.
 
@@ -297,15 +291,13 @@ def _shift_invert(mat: sp.csr_matrix, k: int, tol: float, rng: np.random.Generat
     op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=solve_mat.dtype)
     try:
         vals, vecs = spla.eigsh(solve_mat, k=k_eff, sigma=SHIFT, which="LM",
-                                v0=v0, tol=tol, ncv=ncv, maxiter=maxiter,
-                                OPinv=op_inv)
+                                v0=v0, ncv=ncv, OPinv=op_inv)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
             f"eigensolver did not converge on {matrix_id or 'matrix'}: "
-            f"{len(exc.eigenvalues)}/{k_eff} pairs after "
-            f"{maxiter if maxiter is not None else 'default'} iterations",
+            f"{len(exc.eigenvalues)}/{k_eff} pairs",
             matrix_id=matrix_id, requested=k_eff,
-            converged=len(exc.eigenvalues), maxiter=maxiter) from exc
+            converged=len(exc.eigenvalues)) from exc
     if basis is not None:
         vecs = basis @ vecs
     return vals, vecs, int(lu.nnz), n_solves, not np.iscomplexobj(solve_mat)
@@ -395,17 +387,16 @@ def winding_number(multiplier: OperatorExpression, radius: float,
 class IndexParams:
     """Solver and counting knobs for the index computation.
 
-    gap_threshold and loc_radius default to None, meaning self-calibrate:
-    the threshold from half the smallest kernel-free partner eigenvalue
-    (capped at 0.5) and the radius from the predicted Gaussian decay rate
-    (clipped to [L/2, 0.7L]), so the counted disk always holds the 1 - e^-8
-    mass fraction of the expected mode.
+    k and seed go to low_spectrum for each partner, which always solves to
+    machine precision.  gap_threshold and loc_radius default to None,
+    meaning self-calibrate: the threshold from half the smallest kernel-free
+    partner eigenvalue (capped at 0.5) and the radius from the predicted
+    Gaussian decay rate (clipped to [L/2, 0.7L]), so the counted disk always
+    holds the 1 - e^-8 mass fraction of the expected mode.
     """
 
     k: int = 8
-    tol: float = 0.0
     seed: int = 0
-    maxiter: Optional[int] = None
     gap_threshold: Optional[float] = None
     loc_radius: Optional[float] = None
     loc_min: float = 0.95
@@ -436,8 +427,9 @@ class WittenIndexReport:
     plus_report: EigenReport = dc_field(repr=False, compare=False, default=None)
 
     def to_json_dict(self) -> dict:
+        # version 2: the model lists only the couplings that enter the operator
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "n_minus": self.n_minus,
             "n_plus": self.n_plus,
             "delta": self.delta,
@@ -462,12 +454,10 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
     if op_set.grid != grid:
         raise ShapeError("operator set was discretized on a different grid")
 
-    rm = low_spectrum(op_set.H_minus_mat, params.k, params.tol, grid=grid,
-                      matrix_id="H_minus", seed=params.seed,
-                      maxiter=params.maxiter)
-    rp = low_spectrum(op_set.H_plus_mat, params.k, params.tol, grid=grid,
-                      matrix_id="H_plus", seed=params.seed,
-                      maxiter=params.maxiter)
+    rm = low_spectrum(op_set.H_minus_mat, params.k, grid=grid,
+                      matrix_id="H_minus", seed=params.seed)
+    rp = low_spectrum(op_set.H_plus_mat, params.k, grid=grid,
+                      matrix_id="H_plus", seed=params.seed)
 
     gap = params.gap_threshold
     if gap is None:

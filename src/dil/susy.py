@@ -51,15 +51,13 @@ class ModelSpec:
     """Couplings of the defect model, stored as exact rationals.
 
     f1_series lists higher-order multiplier coefficients: entry k pairs with
-    eps^(k+2), continuing the linear eps*f1 term.  f2 is recorded for
-    completeness but never enters the reduced operator.
+    eps^(k+2), continuing the linear eps*f1 term.
     """
 
     t: Fraction = Fraction(1)
     epsilon: Fraction = Fraction(0)
     f1_value: Fraction = Fraction(1)
     f1_series: tuple[Fraction, ...] = ()
-    f2_value: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "t", as_fraction(self.t))
@@ -67,7 +65,6 @@ class ModelSpec:
         object.__setattr__(self, "f1_value", as_fraction(self.f1_value))
         object.__setattr__(self, "f1_series",
                            tuple(as_fraction(v) for v in self.f1_series))
-        object.__setattr__(self, "f2_value", as_fraction(self.f2_value))
         if self.t <= 0:
             raise ModelError(f"coupling t must be positive, got {self.t}")
         if self.epsilon < 0:
@@ -98,7 +95,6 @@ class ModelSpec:
             "epsilon": float(self.epsilon),
             "f1": float(self.f1_value),
             "f1_series": [float(v) for v in self.f1_series],
-            "f2": float(self.f2_value),
             "mass_defect": float(self.mass_defect()),
         }
 

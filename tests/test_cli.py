@@ -55,8 +55,8 @@ def test_unknown_key_is_a_hard_error(tmp_path):
 
 # one value per key that has a rule, breaking that rule
 RULE_BREAKERS = {
-    "grid.L": 0, "grid.n": 4, "solver.tol": -1e-3, "solver.k": 0,
-    "solver.maxiter": 0, "index.gap_threshold": 0, "index.loc_radius": -1,
+    "grid.L": 0, "grid.n": 4, "solver.k": 0,
+    "index.gap_threshold": 0, "index.loc_radius": -1,
     "index.loc_min": 1.5, "sweep.c_values": [0, 1.0],
     "convergence.n_values": [49, 97], "winding.radius": 0, "winding.samples": 32,
 }
@@ -142,7 +142,7 @@ def test_solver_error_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(spectral_mod.spla, "eigsh", fake_eigsh)
     path = tmp_path / "iterative.cfg"
-    path.write_text("grid.n = 52\n")  # 2*52^2 > 4000 forces the iterative path
+    path.write_text("grid.n = 52\n")  # every grid size reaches the faked eigsh
     assert main(["index", "--config", str(path)]) == 3
     assert "solver error" in capsys.readouterr().err
 
@@ -283,7 +283,7 @@ def test_report_embeds_config_and_versions(fast_config, tmp_path):
     out = tmp_path / "report.json"
     main(["index", "--config", fast_config, "--serial", "--out", str(out)])
     report = _read_report(out)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["package_version"] == "1.0.0"
     assert report["config"]["grid.n"] == 24
     assert "module_versions" not in report

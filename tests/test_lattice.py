@@ -55,6 +55,16 @@ def test_grid_validation():
         GridSpec(-1.0, 16)
 
 
+def test_grid_accepts_numpy_integers():
+    # the stencil caches key on the grid, so it must equal and hash alike
+    g = GridSpec(5.0, np.int64(96))
+    assert type(g.n) is int
+    assert g == GridSpec(5.0, 96) and hash(g) == hash(GridSpec(5.0, 96))
+    for bad in (True, 96.0, np.float64(96), "96"):
+        with pytest.raises(ValueError):
+            GridSpec(5.0, bad)
+
+
 def test_field_requires_finite_values():
     g = GridSpec(4.0, 8)
     bad = np.full(g.num_nodes, np.nan, dtype=complex)
@@ -255,6 +265,14 @@ def test_zero_matrix_csv_is_header_only_and_reads_back(tmp_path):
     assert path.read_bytes() == b"row,col,re,im\r\n"
     back = matrix_from_csv(path, (5, 5))
     assert back.shape == (5, 5) and back.nnz == 0
+
+
+def test_matrix_csv_rejects_a_repeated_entry(tmp_path):
+    # summing the two would load 3 at (0, 0)
+    path = tmp_path / "repeated.csv"
+    path.write_text("row,col,re,im\r\n0,0,1.0,0.0\r\n0,0,2.0,0.0\r\n")
+    with pytest.raises(ValueError, match="more than once"):
+        matrix_from_csv(path, (2, 2))
 
 
 def test_csv_readers_check_the_header(tmp_path):

@@ -72,8 +72,7 @@ def test_low_spectrum_nonconvergence_raises(desk_set, desk_grid, monkeypatch):
 
     monkeypatch.setattr(spectral_mod.spla, "eigsh", fake_eigsh)
     with pytest.raises(SolverError) as exc_info:
-        low_spectrum(desk_set.H_minus_mat, 4, grid=desk_grid, maxiter=7)
-    assert exc_info.value.maxiter == 7
+        low_spectrum(desk_set.H_minus_mat, 4, grid=desk_grid)
     assert exc_info.value.converged == 0
 
 
@@ -123,10 +122,10 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
-        "residual_bound", "hermiticity_defect", "method", "tol", "ordering",
+        "residual_bound", "hermiticity_defect", "method", "ordering",
         "lu_fill", "n_solves", "arithmetic", "sectors", "identical_sectors"}
     # the identity is [[I, 0], [0, I]]: two identical sectors
     assert (payload["sectors"], payload["identical_sectors"]) == (2, True)
@@ -218,12 +217,26 @@ def test_swap_sectors_match_the_dense_spectrum(case, n):
             assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
 
 
-def test_swap_split_keeps_every_copy_of_a_degenerate_level(desk_set, desk_grid):
-    # the vortex H_plus is [[A, 0], [0, A]]; at this start seed, one
-    # Lanczos run over the coupled matrix returned its fourfold level
-    # 1.995835 three times and 2.993057 in place of the fourth
-    rep = low_spectrum(desk_set.H_plus_mat, 8, grid=desk_grid, seed=622435680)
-    assert sum(abs(v - 1.995835) < 1e-6 for v in rep.eigenvalues) == 4
+_SWAP_PROBE = """
+from dil import GridSpec, ModelSpec, build_operator_set, low_spectrum
+grid = GridSpec(5.0, 96)
+mat = build_operator_set(ModelSpec(), grid).H_plus_mat
+rep = low_spectrum(mat, 8, grid=grid, seed=622435680)
+print(sum(abs(v - 1.995835) < 1e-6 for v in rep.eigenvalues))
+"""
+
+
+def test_swap_split_keeps_every_copy_of_a_degenerate_level():
+    # the vortex H_plus is [[A, 0], [0, A]]; at this start seed and one BLAS
+    # thread, one Lanczos run over the coupled matrix returned its fourfold
+    # level 1.995835 three times and 2.993057 in place of the fourth, where
+    # the default thread pool found all four; a fresh interpreter, so that
+    # the thread count holds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               **{f"{lib}_NUM_THREADS": "1" for lib in ("OMP", "OPENBLAS", "MKL")})
+    out = subprocess.run([sys.executable, "-c", _SWAP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) == 4
 
 
 _HEAP_PROBE = """
@@ -275,7 +288,7 @@ def test_count_zero_modes_unperturbed(desk_index, desk_grid):
 def test_count_zero_modes_empty_report(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
-                        hermiticity_defect=0.0, method="shift-invert", tol=0.0)
+                        hermiticity_defect=0.0, method="shift-invert")
     assert mode_census(empty, desk_grid, 0.5, desk_grid.L / 2, 0.95) == (0, [], False)
 
 
@@ -408,7 +421,7 @@ def test_negative_winding_puts_the_kernel_in_h_plus(upper, lower, counts):
 
 def test_witten_index_json_schema_fields(desk_index):
     payload = desk_index.to_json_dict()
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["delta"] == payload["n_minus"] - payload["n_plus"]
     assert payload["grid"] == {"L": 5.0, "n": 96}
     assert payload["model"]["epsilon"] == 0.0
@@ -430,7 +443,7 @@ def test_pairing_of_unperturbed_partners(desk_index):
 def test_pairing_empty_spectra(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
-                        hermiticity_defect=0.0, method="shift-invert", tol=0.0)
+                        hermiticity_defect=0.0, method="shift-invert")
     report = pairing_check(empty, empty, cutoff=2.5)
     assert report.all_matched
     assert report.pairs == []
@@ -448,7 +461,7 @@ def test_pairing_reports_mismatches(desk_index, desk_grid):
     shifted = EigenReport(matrix_id="shifted", grid=desk_grid,
                           eigenvalues=[v + 0.3 for v in desk_index.eigenvalues_plus],
                           vectors=[], residuals=[], residual_bound=0.0,
-                          hermiticity_defect=0.0, method="shift-invert", tol=0.0)
+                          hermiticity_defect=0.0, method="shift-invert")
     report = pairing_check(desk_index.minus_report, shifted, cutoff=1.5, tol=0.05)
     assert not report.all_matched
     assert report.unmatched_minus

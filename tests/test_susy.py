@@ -45,6 +45,11 @@ def test_model_spec_exact_decimal_coercion():
     assert spec.mass_defect() == Fraction(19, 100)
 
 
+def test_model_spec_payload_lists_only_what_enters_the_operator():
+    assert ModelSpec(epsilon="0.3").to_json_dict() == {
+        "t": 1.0, "epsilon": 0.3, "f1": 1.0, "f1_series": [], "mass_defect": 0.3}
+
+
 def test_unperturbed_defect_operator():
     assert build_defect_operator(ModelSpec()) == BlockOperator.from_rows(
         [[D, ZBAR], [Z, DBAR]])
