@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -29,7 +30,7 @@ from .analysis import (ConvergenceRow, SweepRow, algebra_check, convergence_stud
                        fit_gaussian_decay, perturbation_sweep)
 from .errors import ConfigError, DilError, ModelError, SolverError
 from .lattice import GridSpec, field_to_csv, write_csv
-from .opcalc import render_block
+from .opcalc import render_expression
 from .spectral import EigenReport, IndexParams, winding_number, witten_index
 from .susy import ModelSpec, build_operator_set, build_susy_quartet
 from . import selftest
@@ -39,6 +40,8 @@ ENV_PREFIX = "DIL_"
 def _parse_number(x: Any, key: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {x!r}")
     return float(x)
 
 
@@ -297,7 +300,7 @@ def _run_winding(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
         "winding_refined": w2,
         "radius": cfg.winding_radius,
         "samples": cfg.winding_samples,
-        "mass_entry": render_block(op_set.D)[1][0],
+        "mass_entry": render_expression(op_set.mass_entry),
     }
     return results, w1 == w2, []
 

@@ -107,10 +107,6 @@ class Field:
     def zeros(grid: GridSpec, components: int = 1) -> "Field":
         return Field(grid, components, np.zeros(components * grid.num_nodes, dtype=complex))
 
-    def component(self, c: int) -> np.ndarray:
-        n2 = self.grid.num_nodes
-        return self.values[c * n2:(c + 1) * n2]
-
     def pointwise_abs2(self) -> np.ndarray:
         """Per-node squared magnitude summed over components."""
         n2 = self.grid.num_nodes

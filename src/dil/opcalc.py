@@ -49,11 +49,9 @@ def as_fraction(x: RationalLike) -> Fraction:
     Floats go through their shortest decimal repr, so ``as_fraction(0.19)``
     is 19/100 rather than the binary expansion of the double.
     """
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
@@ -69,8 +67,8 @@ class ComplexRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __new__(cls, re: Fraction | int = 0, im: Fraction | int = 0):
-        re, im = Fraction(re), Fraction(im)
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        re, im = as_fraction(re), as_fraction(im)
         return _reduced(re.numerator * im.denominator, im.numerator * re.denominator,
                         re.denominator * im.denominator)
 
@@ -142,13 +140,10 @@ def _reduced(a: int, b: int, d: int) -> ComplexRational:
     return c
 
 
-def crat(re: RationalLike = 0, im: RationalLike = 0) -> ComplexRational:
-    """Convenience constructor for exact complex rationals."""
-    return ComplexRational(as_fraction(re), as_fraction(im))
-
+crat = ComplexRational
 
 C_ZERO = ComplexRational()
-C_ONE = ComplexRational(Fraction(1))
+C_ONE = ComplexRational(1)
 
 
 def as_scalar(x: RationalLike | ComplexRational) -> ComplexRational:
@@ -157,7 +152,7 @@ def as_scalar(x: RationalLike | ComplexRational) -> ComplexRational:
     The one coercion behind every scalar argument: ``scale``, ``*`` with an
     expression, ``monomial`` and the ``gaussian`` coefficients.
     """
-    return x if isinstance(x, ComplexRational) else crat(x)
+    return x if isinstance(x, ComplexRational) else ComplexRational(x)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -179,10 +174,6 @@ class OperatorTerm:
     @property
     def signature(self) -> tuple[int, int, int, int]:
         return (self.pow_z, self.pow_zbar, self.pow_d, self.pow_dbar)
-
-    @property
-    def derivative_order(self) -> int:
-        return self.pow_d + self.pow_dbar
 
 
 def _term(coeff, pow_z, pow_zbar, pow_d, pow_dbar) -> OperatorTerm:
@@ -221,17 +212,10 @@ class OperatorExpression:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_multiplication(self) -> bool:
-        """True when the expression contains no derivatives at all."""
-        return all(t.derivative_order == 0 for t in self.terms)
-
     def scale(self, c) -> "OperatorExpression":
         c = as_scalar(c)
-        if c.is_zero:
-            return OperatorExpression()
-        return OperatorExpression(tuple(
-            _term(t.coeff * c, *t.signature) for t in self.terms))
+        return OperatorExpression.from_terms(
+            _term(t.coeff * c, *t.signature) for t in self.terms)
 
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
         return OperatorExpression.from_terms(self.terms + other.terms)
@@ -261,10 +245,8 @@ class OperatorExpression:
 
 def monomial(coeff: RationalLike | ComplexRational = 1, pow_z: int = 0,
              pow_zbar: int = 0, pow_d: int = 0, pow_dbar: int = 0) -> OperatorExpression:
-    c = as_scalar(coeff)
-    if c.is_zero:
-        return OperatorExpression()
-    return OperatorExpression((OperatorTerm(c, pow_z, pow_zbar, pow_d, pow_dbar),))
+    return OperatorExpression.from_terms(
+        (OperatorTerm(as_scalar(coeff), pow_z, pow_zbar, pow_d, pow_dbar),))
 
 
 ZERO = OperatorExpression()
@@ -295,19 +277,6 @@ def _contractions(m: int, n: int) -> tuple[tuple[int, int], ...]:
     # (k, k! C(m,k) C(n,k)) for every number k of contracted (d, z) pairs
     return tuple((k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
                  for k in range(min(m, n) + 1))
-
-
-def expression_adjoint(e: OperatorExpression) -> OperatorExpression:
-    """Formal L2 adjoint of an expression, normal-ordered.
-
-    (c z^a zb^b d^p db^q)+  =  conj(c) (-db)^p (-d)^q zb^a z^b,
-    reversed and reduced back to normal order term by term.
-    """
-    return OperatorExpression.from_terms(
-        t for u in e.terms for t in normal_order(
-            _term(u.coeff.conjugate() * (-1) ** u.derivative_order,
-                  0, 0, u.pow_dbar, u.pow_d),
-            _term(C_ONE, u.pow_zbar, u.pow_z, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -353,9 +322,6 @@ class BlockOperator:
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
         return self + other.scale(-1)
 
-    def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        return compose(self, other)
-
 
 def compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
     """Block matrix product with every scalar product normal-ordered."""
@@ -370,17 +336,21 @@ def compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
 
 
 def adjoint(a):
-    """Formal L2 adjoint of an expression or a block operator.
+    """Formal L2 adjoint of an expression or a block operator, normal-ordered.
 
-    Blocks are conjugate-transposed entrywise; each entry picks up the sign
-    flips d -> -db, db -> -d required by integration by parts.
+    (c z^a zb^b d^p db^q)+  =  conj(c) (-db)^p (-d)^q zb^a z^b, reversed and
+    reduced back to normal order term by term; a block is conjugate-transposed.
     """
-    if isinstance(a, OperatorExpression):
-        return expression_adjoint(a)
     if isinstance(a, BlockOperator):
         return BlockOperator(a.cols, a.rows, tuple(
-            expression_adjoint(a.entry(i, j)) for j in range(a.cols) for i in range(a.rows)))
-    raise TypeError(f"adjoint expects an expression or block operator, got {type(a)!r}")
+            adjoint(a.entry(i, j)) for j in range(a.cols) for i in range(a.rows)))
+    if not isinstance(a, OperatorExpression):
+        raise TypeError(f"adjoint expects an expression or block operator, got {type(a)!r}")
+    return OperatorExpression.from_terms(
+        t for u in a.terms for t in normal_order(
+            _term(u.coeff.conjugate() * (-1) ** (u.pow_d + u.pow_dbar),
+                  0, 0, u.pow_dbar, u.pow_d),
+            _term(C_ONE, u.pow_zbar, u.pow_z, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +377,6 @@ class GaussianAnsatz:
             raise ValueError("gaussian decay rate must be positive")
 
     @property
-    def poly_dict(self) -> PolyDict:
-        return dict(self.poly)
-
-    @property
     def is_zero(self) -> bool:
         return not self.poly
 
@@ -421,13 +387,10 @@ class GaussianAnsatz:
     def __add__(self, other: "GaussianAnsatz") -> "GaussianAnsatz":
         if self.alpha != other.alpha:
             raise ValueError("cannot add ansatz functions with different decay rates")
-        acc = self.poly_dict
+        acc = dict(self.poly)
         for k, v in other.poly:
             _accumulate(acc, k, v)
         return gaussian(self.alpha, acc)
-
-    def __sub__(self, other: "GaussianAnsatz") -> "GaussianAnsatz":
-        return self + other.scale(-1)
 
     def evaluate(self, zs):
         """Numeric values at complex points (scalar or ndarray)."""
@@ -466,7 +429,7 @@ def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
     """Exact application of a normal-ordered expression to a Gaussian ansatz."""
     acc: PolyDict = {}
     for t in a.terms:
-        p = f.poly_dict
+        p = dict(f.poly)
         for axis, power in ((0, t.pow_d), (1, t.pow_dbar)):
             for _ in range(power):
                 p = _poly_wirtinger(p, f.alpha, axis)
@@ -507,7 +470,7 @@ def gaussian_inner(f: GaussianAnsatz, g: GaussianAnsatz) -> ComplexRational:
 
 def evaluate_multiplication(e: OperatorExpression, zs):
     """Numeric values of a derivative-free expression at complex points."""
-    if not e.is_multiplication:
+    if any(t.pow_d or t.pow_dbar for t in e.terms):
         raise ValueError("expression contains derivatives; not a multiplication operator")
     zs = np.asarray(zs, dtype=complex)
     out = np.zeros_like(zs)

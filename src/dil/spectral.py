@@ -10,12 +10,14 @@ grids alone cannot prove an integer, and a winding count alone cannot see
 the spectral gap.
 
 The sub-gap threshold can be given explicitly or left to self-calibrate.
-Self-calibration uses half the smallest eigenvalue of the kernel-free
-partner (capped at the unperturbed half-gap 0.5): supersymmetry pairs the
-nonzero spectra of the two partners, so that eigenvalue IS the spectral gap.
-This matters for strong perturbations, where the gap collapses roughly like
+Self-calibration always uses half the smallest eigenvalue of H_plus (capped
+at the unperturbed half-gap 0.5, and 0.5 when that eigenvalue is not
+positive): supersymmetry pairs the nonzero spectra of the two partners, so
+when H_plus has no kernel that eigenvalue IS the spectral gap.  This
+matters for strong perturbations, where the gap collapses roughly like
 (1 - c) and a fixed 0.5 threshold would start swallowing paired excited
-states near c ~ 0.5.
+states near c ~ 0.5.  For a negative winding H_plus holds the kernel and
+the threshold is wrong (see ROADMAP.md, item 4).
 
 Every operator with real coefficients commutes with the antiunitary
 T = R_y K, the mirror y -> -y followed by complex conjugation (T^2 = 1):
@@ -389,10 +391,11 @@ class IndexParams:
 
     k and seed go to low_spectrum for each partner, which always solves to
     machine precision.  gap_threshold and loc_radius default to None,
-    meaning self-calibrate: the threshold from half the smallest kernel-free
-    partner eigenvalue (capped at 0.5) and the radius from the predicted
-    Gaussian decay rate (clipped to [L/2, 0.7L]), so the counted disk always
-    holds the 1 - e^-8 mass fraction of the expected mode.
+    meaning self-calibrate: the threshold from half the smallest H_plus
+    eigenvalue (capped at 0.5; wrong when H_plus holds the kernel, see
+    ROADMAP.md item 4) and the radius from the predicted Gaussian decay
+    rate (clipped to [L/2, 0.7L]), so the counted disk always holds the
+    1 - e^-8 mass fraction of the expected mode.
     """
 
     k: int = 8

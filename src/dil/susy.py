@@ -158,11 +158,7 @@ def operator_set_from_block(block: BlockOperator, grid: GridSpec,
 
 
 def build_operator_set(spec: ModelSpec, grid: GridSpec) -> DefectOperatorSet:
-    """Operator set of the model, whose perturbation must be compact and odd."""
-    k_op = compact_perturbation(spec)
-    if any(not k_op.entry(i, j).is_zero
-           for i in range(k_op.rows) for j in range(k_op.cols) if i >= j):
-        raise ModelError("perturbation block is not strictly upper-triangular")
+    """Operator set of the model; its perturbation enters only entry (0, 1)."""
     return operator_set_from_block(build_defect_operator(spec), grid, spec)
 
 

@@ -76,6 +76,24 @@ def test_invalid_value_names_the_key(tmp_path, key):
             load_config(str(path))
 
 
+# json.loads accepts NaN and Infinity; every number-valued key must refuse them
+NUMBER_DEFAULTS = {k: v for k, v in ExperimentConfig().to_flat_dict().items()
+                   if not isinstance(v, int)}
+
+
+@pytest.mark.parametrize("key", sorted(NUMBER_DEFAULTS))
+def test_non_finite_number_names_the_key(tmp_path, monkeypatch, capsys, key):
+    path = tmp_path / "bad.cfg"
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        value = f"[0.5, {bad}]" if isinstance(NUMBER_DEFAULTS[key], list) else bad
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(str(path))
+        monkeypatch.setenv("DIL_" + key.upper().replace(".", "_"), value)
+        assert main(["winding"]) == 2
+        assert key in capsys.readouterr().err
+
+
 def test_constraint_revalidation(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("model.epsilon = 2\nmodel.f1 = 1\n")

@@ -191,6 +191,8 @@ def test_adjoint_of_defect_operator():
 
 def test_adjoint_is_involutive():
     assert adjoint(adjoint(DEFECT)) == DEFECT
+    with pytest.raises(TypeError):
+        adjoint(object())
 
 
 def test_adjoint_of_compact_perturbation_block():
@@ -329,6 +331,8 @@ def test_scalar_coercion_rejects_non_rationals(bad):
     with pytest.raises(TypeError):
         monomial(bad)
     with pytest.raises(TypeError):
+        ComplexRational(bad)
+    with pytest.raises(TypeError):
         crat(1) * bad
     with pytest.raises(TypeError):
         bad * crat(1)
@@ -401,6 +405,8 @@ def test_equal_values_share_one_representation():
     assert repr(crat(Fraction(-6, 4), 2)) == \
         "ComplexRational(re=Fraction(-3, 2), im=Fraction(2, 1))"
     assert crat(1) != 1 and crat(1) != Fraction(1)
+    # floats take their shortest decimal repr, not the binary expansion
+    assert ComplexRational(0.1) == crat("0.1") == crat(Fraction(1, 10))
 
 
 def _render_gaussian(f) -> str:
