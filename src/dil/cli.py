@@ -42,7 +42,11 @@ def _parse_number(x: Any, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {x!r}")
     if isinstance(x, float) and not math.isfinite(x):
         raise ConfigError(f"{key}: expected a finite number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ConfigError(f"{key}: expected a finite number, got an integer "
+                          f"too large for a double") from None
 
 
 def _parse_int(x: Any, key: str) -> int:

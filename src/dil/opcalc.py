@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,13 +45,15 @@ RationalLike = Union[int, str, Fraction, float]
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Exact rational from an int, Fraction, string, or decimal float.
+    """Exact rational from a non-bool Integral, Fraction, string, or float.
 
     Floats go through their shortest decimal repr, so ``as_fraction(0.19)``
     is 19/100 rather than the binary expansion of the double.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a rational value")
+    if isinstance(x, numbers.Integral):
+        x = int(x)
     if isinstance(x, (int, str, Fraction)):
         return Fraction(x)
     if isinstance(x, float):

@@ -45,6 +45,13 @@ solved as its own matrix, which stores a quarter of the coupled matrix's
 fill, and a level the two sectors share is found in each of them, where
 one Lanczos run over the coupled matrix could return too few copies of
 it.  Each sector then takes the real-arithmetic choice above on its own.
+Only A + B is asked for all k pairs.  By Sylvester's law of inertia, one
+pivot-free factorization of A - B - mu, with mu the largest eigenvalue A + B
+returned, counts the eigenvalues of A - B below mu (spectrum slicing:
+Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)), and only those can be among
+the k lowest.  A - B is asked for one pair more than that count, at most k,
+and is not solved at all when the count is zero, as it is for the
+unperturbed H_minus at small k.
 """
 
 from __future__ import annotations
@@ -102,12 +109,15 @@ class EigenReport:
     arithmetic: str = "complex"
     sectors: int = 1
     identical_sectors: bool = False
+    count_shift: Optional[float] = None
+    sector_pairs: list[int] = dc_field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         # version 2 added ordering, lu_fill, n_solves and arithmetic;
-        # version 3 added sectors and identical_sectors; version 4 dropped tol
+        # version 3 added sectors and identical_sectors; version 4 dropped tol;
+        # version 5 added count_shift and sector_pairs
         return {
-            "schema_version": 4,
+            "schema_version": 5,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),
@@ -121,6 +131,8 @@ class EigenReport:
             "arithmetic": self.arithmetic,
             "sectors": self.sectors,
             "identical_sectors": self.identical_sectors,
+            "count_shift": self.count_shift,
+            "sector_pairs": list(self.sector_pairs),
         }
 
 
@@ -140,15 +152,27 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
 
     A two-component matrix [[A, B], [B*, C]] with A == C and B == B*, entry
     by entry, commutes with the swap of its spinor components (module
-    docstring) and is solved as its two sectors A + B and A - B, each for k
-    pairs; the k lowest of the two are kept and their vectors mapped back
-    as (w, w)/sqrt(2) and (w, -w)/sqrt(2).  When B has no nonzero entry,
-    both sectors are A: it is solved once, for ceil(k/2) pairs, and each
-    pair is returned twice, as (w, 0) and (0, w).  Every other matrix is one
-    sector, solved as it is.  ``sectors`` and ``identical_sectors`` in the
-    report say which case applied; ``lu_fill`` and ``n_solves`` sum over
-    the sectors.  The residuals and their bound are those of the full
-    matrix.
+    docstring) and is solved as its two sectors A + B and A - B; the k
+    lowest of the two are kept and their vectors mapped back as
+    (w, w)/sqrt(2) and (w, -w)/sqrt(2).  A + B is solved for k pairs, and
+    mu is the largest eigenvalue it returns.  A - B - mu is then factored
+    without pivoting, and nu, the number of its negative pivots, is the
+    number of eigenvalues of A - B below mu (``_inertia``).  When nu is 0,
+    A - B holds none of the k lowest and is not solved.  Otherwise it is
+    solved for min(nu + 1, k) pairs, and exactly min(nu, pairs) of them must
+    lie below mu, up to the residual bound.  When the factorization fails
+    its checks, or the pairs contradict the count, A - B is solved for k
+    pairs, and the report's ``count_shift`` is null.  At an exact tie
+    across the sectors at mu, either copy may be kept.  When B has no
+    nonzero entry, both sectors are A: it is solved once, for ceil(k/2)
+    pairs, and each pair is returned twice, as (w, 0) and (0, w).  Every
+    other matrix is one sector, solved as it is.  ``sectors`` and
+    ``identical_sectors`` in the report say which case applied,
+    ``count_shift`` is mu when the count held (else null) and
+    ``sector_pairs`` lists the pairs asked of each matrix solved (0 for an
+    A - B that was only counted).  ``lu_fill`` and ``n_solves`` sum over the
+    solves, the count's factorization apart.  The residuals and their bound
+    are those of the full matrix.
 
     Each sector minus sigma is factored once, explicitly, by SuperLU with
     the minimum-degree ordering on the pattern of A^T + A, and every
@@ -209,25 +233,39 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
 
     rng = np.random.default_rng(seed)
     ncv = max(4 * min(k, dim - 2), 40)
-    solved, lu_fill, n_solves, real = [], 0, 0, True
-    for mat in sectors:
-        vals, vecs, fill, solves, sector_real = _shift_invert(
-            mat, -(-k // 2) if identical else k, rng, ncv, grid, matrix_id)
-        solved.append((vals, vecs))
-        lu_fill, n_solves, real = lu_fill + fill, n_solves + solves, real and sector_real
+    residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
+    runs = [_shift_invert(*_solve_form(sectors.pop(0), grid),
+                          -(-k // 2) if identical else k, rng, ncv, matrix_id)]
+    count_shift = None
+    if split and not identical:
+        count_shift = float(runs[0][0].max())
+        second = _solve_form(sectors.pop(), grid)
+        nu = _inertia(second[0], count_shift)
+        if nu:
+            runs.append(_shift_invert(*second, min(nu + 1, k), rng, ncv, matrix_id))
+            got = runs[-1][0]
+            if not (np.sum(got < count_shift - residual_bound) <= min(nu, got.size)
+                    <= np.sum(got < count_shift + residual_bound)):
+                nu = None
+        if nu is None:
+            count_shift = None
+            runs.append(_shift_invert(*second, k, rng, ncv, matrix_id))
+        del second
+    lu_fill = sum(run[2] for run in runs)
+    n_solves = sum(run[3] for run in runs)
+    real = all(run[4] for run in runs)
+    vals, vecs = runs[0][:2]
+    sector_pairs = [vals.size]
     if identical:
-        (vals, w), = solved
-        z = np.zeros_like(w)
-        vals, vecs = np.concatenate((vals, vals)), np.block([[w, z], [z, w]])
+        z = np.zeros_like(vecs)
+        vals, vecs = np.concatenate((vals, vals)), np.block([[vecs, z], [z, vecs]])
     elif split:
-        (plus, wp), (minus, wm) = solved
-        vals = np.concatenate((plus, minus))
-        vecs = np.block([[wp, wm], [wp, -wm]]) * np.sqrt(0.5)
-    else:
-        (vals, vecs), = solved
+        minus, wm = runs[-1][:2] if len(runs) > 1 else (vals[:0], vecs[:, :0])
+        sector_pairs.append(minus.size)
+        vals = np.concatenate((vals, minus))
+        vecs = np.block([[vecs, wm], [vecs, -wm]]) * np.sqrt(0.5)
     vecs = vecs[:, np.argsort(vals, kind="stable")[:k]]
 
-    residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
     pairs = []
     for i in range(vecs.shape[1]):
         v = vecs[:, i]
@@ -253,28 +291,22 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
                        hermiticity_defect=float(defect), method="shift-invert",
                        ordering=ORDERING, lu_fill=lu_fill,
                        n_solves=n_solves, arithmetic="real" if real else "complex",
-                       sectors=2 if split else 1, identical_sectors=identical)
+                       sectors=2 if split else 1,
+                       identical_sectors=identical, count_shift=count_shift,
+                       sector_pairs=sector_pairs)
 
 
-def _shift_invert(mat: sp.csr_matrix, k: int, rng: np.random.Generator, ncv: int,
-                  grid: GridSpec, matrix_id: str
+def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: int,
+                  rng: np.random.Generator, ncv: int, matrix_id: str
                   ) -> tuple[np.ndarray, np.ndarray, int, int, bool]:
     """k lowest eigenpairs of one Hermitian sector by shift-invert Lanczos.
 
-    Returns the eigenvalues, the eigenvectors as columns in the sector's
-    own basis, the L+U fill, the number of solves and whether the solve ran
-    in real arithmetic.
+    Takes the sector in the form ``_solve_form`` gives.  Returns the
+    eigenvalues, the eigenvectors as columns in the sector's own basis, the
+    L+U fill, the number of solves and whether the solve ran in real
+    arithmetic.
     """
-    dim = mat.shape[0]
-    solve_mat, basis = mat, None
-    if np.iscomplexobj(mat):
-        if not mat.data.imag.any():
-            solve_mat = mat.real
-        else:
-            mirror = _mirror(grid, dim // grid.num_nodes)
-            if (mat.conj()[mirror][:, mirror] != mat).nnz == 0:
-                solve_mat, basis = _real_form(mat, mirror)
-
+    dim = solve_mat.shape[0]
     k_eff = min(k, dim - 2)
     v0 = rng.standard_normal(dim)
     ncv = min(dim, ncv)
@@ -303,6 +335,58 @@ def _shift_invert(mat: sp.csr_matrix, k: int, rng: np.random.Generator, ncv: int
     if basis is not None:
         vecs = basis @ vecs
     return vals, vecs, int(lu.nnz), n_solves, not np.iscomplexobj(solve_mat)
+
+
+def _solve_form(mat: sp.csr_matrix, grid: GridSpec
+                ) -> tuple[sp.csr_matrix, Optional[sp.csr_matrix]]:
+    """The matrix factored for a Hermitian sector, and the basis Q that maps
+    its eigenvectors back (None when it is the sector's own basis): the real
+    matrix of a sector with no imaginary entry, the mirror-pair form of a
+    T-symmetric one, or else the complex sector itself."""
+    if np.iscomplexobj(mat):
+        if not mat.data.imag.any():
+            return mat.real, None
+        mirror = _mirror(grid, mat.shape[0] // grid.num_nodes)
+        if (mat.conj()[mirror][:, mirror] != mat).nnz == 0:
+            return _real_form(mat, mirror)
+    return mat, None
+
+
+def _inertia(form: sp.csr_matrix, shift: float) -> Optional[int]:
+    """Number of eigenvalues of a Hermitian sector below shift, or None.
+
+    The sector, in the form ``_solve_form`` gives, minus shift is factored
+    by SuperLU without pivoting: symmetric mode, a zero pivot threshold and
+    the solve's ordering.  When the row and column permutations agree, that
+    is the congruence P (S - shift) P^T = L D L*, with D the diagonal of U,
+    and by Sylvester's law of inertia the count is the number of negative
+    entries of D.  None when SuperLU left the diagonal for a zero pivot
+    (the permutations differ), found the matrix singular, or factored it
+    unstably: the residual of one solve, with a fixed random right-hand
+    side b, exceeds 1e-11 (the relative figure of the residual bound) times
+    (|S|_inf + |shift|) |x|_inf + |b|_inf.  Free heap pages are handed back before the factorization and
+    before U is read, which builds L and U as sparse matrices.
+    """
+    dim = form.shape[0]
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    try:
+        lu = spla.splu(
+            (form - shift * sp.identity(dim, dtype=form.dtype, format="csr")).tocsc(),
+            permc_spec=ORDERING, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError:  # exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    b = np.random.default_rng(0).standard_normal(dim)
+    x = lu.solve(b)
+    backward = np.abs(form @ x - shift * x - b).max() / (
+        (spla.norm(form, np.inf) + abs(shift)) * np.abs(x).max() + np.abs(b).max())
+    if not backward <= 1e-11:
+        return None
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
 def _mirror(grid: GridSpec, components: int) -> np.ndarray:

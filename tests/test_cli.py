@@ -94,6 +94,19 @@ def test_non_finite_number_names_the_key(tmp_path, monkeypatch, capsys, key):
         assert key in capsys.readouterr().err
 
 
+def test_integer_too_large_for_a_double_names_the_key(tmp_path, monkeypatch, capsys):
+    huge = "1" + "0" * 400
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"grid.L = {huge}\n")
+    with pytest.raises(ConfigError, match=re.escape("grid.L")):
+        load_config(str(path))
+    assert main(["winding", "--config", str(path)]) == 2
+    assert "grid.L" in capsys.readouterr().err
+    monkeypatch.setenv("DIL_GRID_L", huge)
+    assert main(["winding"]) == 2
+    assert "grid.L" in capsys.readouterr().err
+
+
 def test_constraint_revalidation(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("model.epsilon = 2\nmodel.f1 = 1\n")

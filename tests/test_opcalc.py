@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dil import (BlockOperator, GridSpec, ShapeError, adjoint,
+from dil import (BlockOperator, GridSpec, ModelSpec, ShapeError, adjoint,
                  block_gaussian_apply, compose, crat, gaussian,
                  gaussian_apply, gaussian_inner, monomial, normal_order,
                  parse_expression, render_expression, sample)
 from dil.opcalc import (D, DBAR, ONE, ComplexRational, OperatorExpression,
-                        OperatorTerm, Z, ZBAR, ZERO, render_block)
+                        OperatorTerm, Z, ZBAR, ZERO, as_fraction, render_block)
 from dil.selftest import random_block, random_expression, random_gaussian
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
@@ -336,6 +336,22 @@ def test_scalar_coercion_rejects_non_rationals(bad):
         crat(1) * bad
     with pytest.raises(TypeError):
         bad * crat(1)
+
+
+def test_numpy_integers_are_exact_integers():
+    # GridSpec takes numpy integers for n, and so do the exact scalars; a
+    # numpy bool is refused like a bool
+    two = np.int64(2)
+    assert as_fraction(two) == 2 and type(as_fraction(two).numerator) is int
+    assert ModelSpec(t=two) == ModelSpec(t=2)
+    assert hash(ModelSpec(t=two)) == hash(ModelSpec(t=2))
+    assert crat(np.int32(3), np.uint8(2)) == crat(3, 2)
+    assert Z * two == Z.scale(2)
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
+        with pytest.raises(TypeError):
+            ModelSpec(t=bad)
 
 
 def test_parser_rejects_garbage():

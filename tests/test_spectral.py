@@ -18,6 +18,7 @@ from dil import (BlockOperator, ContourError,
                  build_operator_set, low_spectrum, mode_census, monomial,
                  operator_set_from_block, pairing_check, winding_number,
                  witten_index)
+from dil import spectral
 from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO, crat
 
 OSCILLATOR_TOL = 0.05
@@ -122,13 +123,16 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 4
+    assert payload["schema_version"] == 5
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
         "residual_bound", "hermiticity_defect", "method", "ordering",
-        "lu_fill", "n_solves", "arithmetic", "sectors", "identical_sectors"}
-    # the identity is [[I, 0], [0, I]]: two identical sectors
+        "lu_fill", "n_solves", "arithmetic", "sectors", "identical_sectors",
+        "count_shift", "sector_pairs"}
+    # the identity is [[I, 0], [0, I]]: two identical sectors, solved once
+    # for ceil(3/2) pairs, and nothing to count
     assert (payload["sectors"], payload["identical_sectors"]) == (2, True)
+    assert (payload["count_shift"], payload["sector_pairs"]) == (None, [2])
 
 
 def _defect(upper, lower):
@@ -237,6 +241,103 @@ def test_swap_split_keeps_every_copy_of_a_degenerate_level():
     out = subprocess.run([sys.executable, "-c", _SWAP_PROBE], env=env,
                          capture_output=True, text=True, check=True)
     assert int(out.stdout) == 4
+
+
+def _sectors(grid, coupling=1):
+    """The vortex H_minus [[A, B], [B, A]] (B = -1 on the grid) with its
+    coupling scaled, [[A, cB], [cB, A]], and the dense spectra of its
+    sectors A + cB, which is solved first, and A - cB."""
+    n2 = grid.num_nodes
+    herm = build_operator_set(ModelSpec(), grid).H_minus_mat
+    herm = ((herm + herm.getH()) * 0.5).tocsr()
+    upper, b = herm[:n2, :n2], coupling * herm[:n2, n2:]
+    mat = sp.bmat([[upper, b], [b, upper]], format="csr")
+    return mat, [np.linalg.eigvalsh((upper + sign * b).toarray().real) for sign in (1, -1)]
+
+
+def test_count_matches_the_dense_inertia():
+    # pivot-free counts of eigenvalues below a shift, in each form the
+    # solve takes: a real scalar sector, the mirror-pair form of a complex
+    # T-symmetric partner and a complex one; shifts below the spectrum
+    # (positive definite) and between levels (indefinite)
+    for n in (16, 25):
+        grid, n2 = GridSpec(5.0, n), n * n
+        vortex = _sectors(grid)[0]
+        cases = {
+            "real": vortex[:n2, :n2] - vortex[:n2, n2:],
+            "mirror-pair": build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat,
+            "complex": _block_set(Z * crat(1, 2), ZBAR)(grid).H_minus_mat,
+        }
+        for name, mat in cases.items():
+            mat = ((mat + mat.getH()) * 0.5).tocsr()
+            form, basis = spectral._solve_form(mat, grid)
+            assert (basis is not None) == (name == "mirror-pair")
+            levels = np.linalg.eigvalsh(mat.toarray())
+            shifts = [levels[0] - 0.25] + [(a + b) / 2 for a, b in zip(levels[:24], levels[1:25])
+                                           if b - a > 1e-6]
+            for shift in shifts:
+                assert spectral._inertia(form, shift) == np.sum(levels < shift), (name, shift)
+
+
+@pytest.mark.parametrize("matrix, counted", [
+    ([[0.0, 1.0], [1.0, 0.0]], None),      # zero pivot: SuperLU leaves the diagonal
+    ([[1e-20, 1.0], [1.0, 1e-20]], None),  # tiny pivot: unstable, large backward error
+    ([[1.0, 1.0], [1.0, 1.0]], None),      # exactly singular
+    ([[2.0, 1.0], [1.0, -3.0]], 1),
+])
+def test_count_refuses_a_factorization_it_cannot_trust(matrix, counted):
+    assert spectral._inertia(sp.csr_matrix(matrix), 0.0) == counted
+
+
+@pytest.mark.parametrize("coupling, k, counted", [
+    (1, 3, 0),               # the vortex H_minus itself: the second sector is not solved
+    (Fraction(1, 8), 3, 1),   # a second sector slightly above the first: two pairs
+    (Fraction(-1, 8), 3, 3),  # slightly below: k pairs
+    (-1, 8, 23),             # the second sector holds the kernel: k pairs
+])
+def test_count_sizes_the_second_sector(coupling, k, counted):
+    # A + cB is solved for k pairs, A - cB is counted below the largest of
+    # them, mu, and asked for one pair more than the count (at most k);
+    # the merged k lowest are the dense ones
+    grid = GridSpec(5.0, 20)
+    mat, (first, second) = _sectors(grid, float(coupling))
+    mu = first[k - 1]
+    assert np.sum(second < mu) == counted
+    exact = np.sort(np.concatenate((first, second)))[:k]
+    for seed in range(3):
+        rep = low_spectrum(mat, k, grid=grid, seed=seed)
+        assert abs(rep.count_shift - mu) <= rep.residual_bound
+        assert rep.sector_pairs == [k, min(counted + 1, k) if counted else 0]
+        assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+        assert max(rep.residuals) <= rep.residual_bound
+
+
+@pytest.mark.parametrize("count", ["refused", "wrong"])
+def test_failed_count_solves_the_second_sector_for_k_pairs(monkeypatch, count):
+    # a count that cannot be trusted, or one that the second sector's
+    # eigenvalues contradict, falls back to k pairs, and the report says so
+    # with a null count_shift
+    counted = spectral._inertia
+    monkeypatch.setattr(spectral, "_inertia", lambda form, shift: (
+        None if count == "refused" else counted(form, shift) + 1))
+    grid = GridSpec(5.0, 24)
+    mat, spectra = _sectors(grid)
+    exact = np.sort(np.concatenate(spectra))[:8]
+    rep = low_spectrum(mat, 8, grid=grid, seed=1)
+    assert (rep.count_shift, rep.sector_pairs) == (None, [8, 8])
+    assert rep.to_json_dict()["count_shift"] is None
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+
+
+def test_unperturbed_h_minus_solves_one_sector():
+    # the solve budget of the refinement study: at n = 49 and k = 3 the
+    # sector A + B holds the three lowest levels, so A - B is only counted
+    grid = GridSpec(5.0, 49)
+    exact = np.sort(np.concatenate(_sectors(grid)[1]))[:3]
+    rep = low_spectrum(build_operator_set(ModelSpec(), grid).H_minus_mat, 3, grid=grid)
+    assert rep.sector_pairs == [3, 0]
+    assert abs(rep.count_shift - rep.eigenvalues[2]) <= rep.residual_bound
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
 
 
 _HEAP_PROBE = """
