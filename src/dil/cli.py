@@ -4,7 +4,7 @@ Reads a flat-key config file (``section.key = value`` lines, JSON-style
 values, ``#`` comment lines), applies ``DIL_``-prefixed environment
 overrides, runs one subcommand, and emits a JSON run report.  Exit codes:
 0 the run's pass criterion held, 1 it failed, 2 configuration problem,
-3 eigensolver non-convergence.
+3 eigensolver failure (no convergence, or a refused factorization).
 
 With ``--out`` the JSON report is written to the given path and delimited
 side files (sweep rows, spectra, exported modes) are placed next to it;

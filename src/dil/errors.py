@@ -37,7 +37,7 @@ class ConfigError(DilError):
 
 
 class SolverError(DilError):
-    """Eigensolver failed to converge.
+    """Eigensolver failed: no convergence, or a refused factorization.
 
     Carries diagnostics so callers can report what was asked of the solver
     and how far it got.

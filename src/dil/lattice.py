@@ -54,8 +54,8 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"grid half-width must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"grid half-width must be finite and positive, got {self.L}")
         if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
                 or self.n < 8):
             raise ValueError(f"grid needs at least 8 points per axis, got {self.n}")

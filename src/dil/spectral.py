@@ -45,13 +45,14 @@ solved as its own matrix, which stores a quarter of the coupled matrix's
 fill, and a level the two sectors share is found in each of them, where
 one Lanczos run over the coupled matrix could return too few copies of
 it.  Each sector then takes the real-arithmetic choice above on its own.
-Only A + B is asked for all k pairs.  By Sylvester's law of inertia, one
-pivot-free factorization of A - B - mu, with mu the largest eigenvalue A + B
-returned, counts the eigenvalues of A - B below mu (spectrum slicing:
-Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)), and only those can be among
-the k lowest.  A - B is asked for one pair more than that count, at most k,
-and is not solved at all when the count is zero, as it is for the
-unperturbed H_minus at small k.
+Only A + B is asked for all k pairs; A - B is sized by the Sylvester count
+of its eigenvalues below the largest of them (spectrum slicing: Ericsson &
+Ruhe, Math. Comp. 35, 1251 (1980)).
+
+Every factorization, the solve's and the count's, is one checked pivot-free
+SuperLU factorization in symmetric mode (``_factor``; X. S. Li, ACM TOMS 31,
+302 (2005)).  Partial pivoting leaves the symmetric ordering where the mass
+blocks dominate, and its fill explodes.
 """
 
 from __future__ import annotations
@@ -80,15 +81,17 @@ ORDERING = "MMD_AT_PLUS_A"
 # heap depends on the order of earlier allocations: identical index runs on
 # the desk grid peaked at 156-165 MB or at 180-188 MB.  malloc_trim(0) before
 # each factorization drops the resident pages of every free hole, so the
-# peak is what is live.  None where the C library has no malloc_trim.
+# peak is what is live.  A no-op where the C library has no malloc_trim.
 try:
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
+    def _MALLOC_TRIM(pad):
+        return 0
 
 
 class AmbiguousGapWarning(UserWarning):
-    """An eigenvalue sits within 10% of the counting threshold."""
+    """The analytic index disagrees with the winding number (an eigenvalue
+    near the counting threshold only sets the report's ``ambiguous``)."""
 
 
 @dataclass
@@ -174,19 +177,13 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     solves, the count's factorization apart.  The residuals and their bound
     are those of the full matrix.
 
-    Each sector minus sigma is factored once, explicitly, by SuperLU with
-    the minimum-degree ordering on the pattern of A^T + A, and every
-    shift-invert step is a solve with that factorization.  The stencils
-    give a structurally symmetric pattern, for which this ordering stores
-    about half the L+U entries of SuperLU's default column ordering
-    (COLAMD) from the desk grid (n = 96) up, so both the factorization and
-    each of the solves are cheaper.  The factorization is made in the
-    sector's own dtype, the one ARPACK iterates in, so a real matrix never
-    meets a complex solve.  The report records the ordering, the number of
-    entries SuperLU stores for L and U (``lu_fill``) and the number of
-    solves.  Free C-heap pages are handed back to the system before each
-    factorization, so that the peak memory of a run does not depend on the
-    order of its earlier allocations.
+    Each sector minus sigma is factored once by ``_factor``: SuperLU without
+    pivoting, in symmetric mode, with the minimum-degree ordering on the
+    pattern of A^T + A, in the sector's own dtype.  Every shift-invert step
+    is a solve with that factor.  A factor that fails a check (a zero pivot,
+    an exactly singular matrix, as with an eigenvalue at sigma, or an
+    unstable solve) raises SolverError naming it.  The report records the
+    ordering, the L+U entries SuperLU stores (``lu_fill``) and the solves.
 
     A complex sector is solved in real arithmetic when it allows it,
     decided by exact comparison (module docstring).  With no imaginary
@@ -251,9 +248,6 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
             count_shift = None
             runs.append(_shift_invert(*second, k, rng, ncv, matrix_id))
         del second
-    lu_fill = sum(run[2] for run in runs)
-    n_solves = sum(run[3] for run in runs)
-    real = all(run[4] for run in runs)
     vals, vecs = runs[0][:2]
     sector_pairs = [vals.size]
     if identical:
@@ -286,14 +280,13 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
             f"the bound {residual_bound:.3e}",
             matrix_id=matrix_id, requested=k, converged=len(eigenvalues))
     return EigenReport(matrix_id=matrix_id, grid=grid, eigenvalues=eigenvalues,
-                       vectors=fields, residuals=residuals,
-                       residual_bound=residual_bound,
+                       vectors=fields, residuals=residuals, residual_bound=residual_bound,
                        hermiticity_defect=float(defect), method="shift-invert",
-                       ordering=ORDERING, lu_fill=lu_fill,
-                       n_solves=n_solves, arithmetic="real" if real else "complex",
-                       sectors=2 if split else 1,
-                       identical_sectors=identical, count_shift=count_shift,
-                       sector_pairs=sector_pairs)
+                       ordering=ORDERING, lu_fill=sum(run[2] for run in runs),
+                       n_solves=sum(run[3] for run in runs),
+                       arithmetic="real" if all(run[4] for run in runs) else "complex",
+                       sectors=2 if split else 1, identical_sectors=identical,
+                       count_shift=count_shift, sector_pairs=sector_pairs)
 
 
 def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: int,
@@ -310,11 +303,11 @@ def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: i
     k_eff = min(k, dim - 2)
     v0 = rng.standard_normal(dim)
     ncv = min(dim, ncv)
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-    shifted = solve_mat - SHIFT * sp.identity(dim, dtype=solve_mat.dtype, format="csr")
-    lu = spla.splu(shifted.tocsc(), permc_spec=ORDERING)
-    del shifted
+    lu, failed = _factor(solve_mat, SHIFT)
+    if lu is None:
+        raise SolverError(f"{matrix_id or 'matrix'}: the pivot-free factorization at "
+                          f"sigma = {SHIFT} failed its check: {failed}",
+                          matrix_id=matrix_id, requested=k_eff)
     n_solves = 0
 
     def solve(x):
@@ -352,40 +345,47 @@ def _solve_form(mat: sp.csr_matrix, grid: GridSpec
     return mat, None
 
 
-def _inertia(form: sp.csr_matrix, shift: float) -> Optional[int]:
-    """Number of eigenvalues of a Hermitian sector below shift, or None.
+def _factor(form: sp.csr_matrix, shift: float) -> tuple[Optional[spla.SuperLU], str]:
+    """Checked pivot-free SuperLU factor of a Hermitian sector minus shift.
 
-    The sector, in the form ``_solve_form`` gives, minus shift is factored
-    by SuperLU without pivoting: symmetric mode, a zero pivot threshold and
-    the solve's ordering.  When the row and column permutations agree, that
-    is the congruence P (S - shift) P^T = L D L*, with D the diagonal of U,
-    and by Sylvester's law of inertia the count is the number of negative
-    entries of D.  None when SuperLU left the diagonal for a zero pivot
-    (the permutations differ), found the matrix singular, or factored it
-    unstably: the residual of one solve, with a fixed random right-hand
-    side b, exceeds 1e-11 (the relative figure of the residual bound) times
-    (|S|_inf + |shift|) |x|_inf + |b|_inf.  Free heap pages are handed back before the factorization and
-    before U is read, which builds L and U as sparse matrices.
+    The sector S, in the form ``_solve_form`` gives, minus shift is factored
+    in symmetric mode with a zero pivot threshold and the solve's ordering,
+    after free heap pages are handed back.  Returns the factor and "", or
+    None and the check it failed: a zero pivot left the diagonal (the row
+    and column permutations differ), S - shift is exactly singular, or the
+    residual of one solve, with a fixed random right-hand side b, exceeds
+    1e-11 (the relative figure of the residual bound) times
+    (|S|_inf + |shift|) |x|_inf + |b|_inf.
     """
     dim = form.shape[0]
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    _MALLOC_TRIM(0)
     try:
         lu = spla.splu(
             (form - shift * sp.identity(dim, dtype=form.dtype, format="csr")).tocsc(),
             permc_spec=ORDERING, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError:  # exactly singular
-        return None
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        return None, str(exc)
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
+        return None, "a zero pivot left the diagonal"
     b = np.random.default_rng(0).standard_normal(dim)
     x = lu.solve(b)
     backward = np.abs(form @ x - shift * x - b).max() / (
         (spla.norm(form, np.inf) + abs(shift)) * np.abs(x).max() + np.abs(b).max())
     if not backward <= 1e-11:
+        return None, f"backward error {backward:.1e} of one solve exceeds 1e-11"
+    return lu, ""
+
+
+def _inertia(form: sp.csr_matrix, shift: float) -> Optional[int]:
+    """Number of eigenvalues of a Hermitian sector below shift, or None when
+    ``_factor`` refuses S - shift.  An accepted factor is the congruence
+    P (S - shift) P^T = L D L*, D the diagonal of U, so by Sylvester's law
+    of inertia the count is the number of negative entries of D.  Free heap
+    pages are handed back before U is read, which builds L and U."""
+    lu = _factor(form, shift)[0]
+    if lu is None:
         return None
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    _MALLOC_TRIM(0)
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 

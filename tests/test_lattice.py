@@ -51,8 +51,9 @@ def test_grid_axis_is_exactly_antisymmetric(n):
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(5.0, 4)
-    with pytest.raises(ValueError):
-        GridSpec(-1.0, 16)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            GridSpec(bad, 16)
 
 
 def test_grid_accepts_numpy_integers():

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -94,19 +95,34 @@ def test_real_matrix_gets_exact_spectrum():
     assert rep.n_solves >= 4
 
 
+def test_eigenvalue_at_the_shift_raises_solver_error():
+    # an eigenvalue exactly at sigma = -0.5 makes the shifted matrix exactly
+    # singular: the factorization is refused, and the error names the check
+    g = GridSpec(4.0, 8)
+    diagonal = np.arange(1.0, g.num_nodes + 1.0)
+    diagonal[10] = -0.5
+    with pytest.raises(SolverError, match="exactly singular") as exc_info:
+        low_spectrum(sp.diags(diagonal, format="csr"), 4, grid=g, matrix_id="diagonal")
+    assert exc_info.value.matrix_id == "diagonal"
+
+
 _SMALL = GridSpec(5.0, 24)
 
 
 @pytest.mark.parametrize("op_set", [
     build_operator_set(ModelSpec(epsilon="0.3", f1_value=1), _SMALL),
     operator_set_from_block(BlockOperator.from_rows([[D, Z], [ZBAR, DBAR]]), _SMALL),
-], ids=["vortex-c0.3", "anti-vortex"])
+    # N = 2 on the n = 8 grid: H_minus has a double level at -0.6166, below
+    # sigma, so the shifted matrix it factors without pivoting is indefinite
+    operator_set_from_block(BlockOperator.from_rows(
+        [[D, monomial(1, pow_zbar=2)], [monomial(1, pow_z=2), DBAR]]), GridSpec(5.0, 8)),
+], ids=["vortex-c0.3", "anti-vortex", "N=2-n8"])
 @pytest.mark.parametrize("name", ["H_minus_mat", "H_plus_mat"])
 def test_sparse_and_dense_paths_agree(op_set, name):
     # k = 8, the default solver.k; the reference is the dense spectrum
     mat = getattr(op_set, name)
     dense = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
-    sparse = low_spectrum(mat, 8, grid=_SMALL, matrix_id=name)
+    sparse = low_spectrum(mat, 8, grid=op_set.grid, matrix_id=name)
     assert sparse.method == "shift-invert"
     assert sparse.ordering == "MMD_AT_PLUS_A"
     assert sparse.lu_fill > 0
@@ -329,6 +345,22 @@ def test_failed_count_solves_the_second_sector_for_k_pairs(monkeypatch, count):
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
 
 
+def test_pivot_free_fill_does_not_grow_with_the_mass():
+    # the anti-vortex [[d, m z], [zb, db]] at n = 96: partial pivoting left
+    # the symmetric ordering at m = 16 and stored 83 M and 120 M entries
+    # (79 s and 125 s); without pivoting each partner stores what m = 4 does
+    grid = GridSpec(5.0, 96)
+    fills = {}
+    start = time.perf_counter()
+    for m in (4, 16):
+        op_set = _block_set(Z * m, ZBAR)(grid)
+        for name in ("H_minus_mat", "H_plus_mat"):
+            fills[m, name] = low_spectrum(getattr(op_set, name), 8, grid=grid).lu_fill
+    assert time.perf_counter() - start < 60.0
+    for name in ("H_minus_mat", "H_plus_mat"):
+        assert fills[16, name] <= 1.5 * fills[4, name]
+
+
 def test_unperturbed_h_minus_solves_one_sector():
     # the solve budget of the refinement study: at n = 49 and k = 3 the
     # sector A + B holds the three lowest levels, so A - B is only counted
@@ -518,6 +550,18 @@ def test_negative_winding_puts_the_kernel_in_h_plus(upper, lower, counts):
     op_set = operator_set_from_block(_defect(upper, lower), grid)
     report = witten_index(op_set, grid, IndexParams(k=8))
     assert (report.n_minus, report.n_plus, report.delta, report.winding) == counts
+
+
+def test_winding_mismatch_warns():
+    # the lower entry (z - 3/2)(z + 3/2) has index 2, but the unit contour
+    # encloses neither zero, so the winding reads 0
+    grid = GridSpec(10.0, 32)
+    shift = ONE * Fraction(9, 4)
+    op_set = operator_set_from_block(
+        _defect(monomial(1, pow_zbar=2) - shift, monomial(1, pow_z=2) - shift), grid)
+    with pytest.warns(spectral.AmbiguousGapWarning, match="disagrees"):
+        report = witten_index(op_set, grid, IndexParams(k=8))
+    assert (report.delta, report.winding, report.winding_matches) == (2, 0, False)
 
 
 def test_witten_index_json_schema_fields(desk_index):
