@@ -34,25 +34,24 @@ any other one is compared with P conj(H) P entry by entry.  Operators with
 complex coefficients (the multiplier 1 + 2i) fail the comparison and are
 solved in complex arithmetic.
 
-A two-component Hamiltonian [[A, B], [B*, C]] with C = A and B = B*
+A two-component Hamiltonian [[A, beta I], [beta I, A]] with beta real
 commutes with the on-site swap sigma_x of its two spinor components, so it
-is block diagonal in the basis (u + v, u - v)/sqrt(2), as A + B and A - B:
-two Hermitian problems on the scalar grid.  Both partners of the
-unperturbed defect have this form (B is a real diagonal, and it vanishes
-in the vortex H_plus), and ``low_spectrum`` decides it from the data
-exactly, entry by entry, with no threshold.  Each sector is factored and
-solved as its own matrix, which stores a quarter of the coupled matrix's
-fill, and a level the two sectors share is found in each of them, where
-one Lanczos run over the coupled matrix could return too few copies of
-it.  Each sector then takes the real-arithmetic choice above on its own.
-Only A + B is asked for all k pairs; A - B is sized by the Sylvester count
-of its eigenvalues below the largest of them (spectrum slicing: Ericsson &
-Ruhe, Math. Comp. 35, 1251 (1980)).
+is block diagonal in the basis (u + v, u - v)/sqrt(2), as A + beta and
+A - beta: one Hermitian matrix on the scalar grid and the same matrix
+shifted by -2 beta.  Both partners of the unperturbed defect have this
+form (the mass term couples the components by -t, and not at all in the
+vortex H_plus), and ``low_spectrum`` decides it from the data exactly,
+entry by entry, with no threshold.  A + beta is factored and solved once,
+which stores a quarter of the coupled matrix's fill, and each of its
+eigenpairs gives one of each sector, so a level the two sectors share is
+found in both, where one Lanczos run over the coupled matrix could return
+too few copies of it.  The sector then takes the real-arithmetic choice
+above.  Any other coupling leaves the matrix whole.
 
-Every factorization, the solve's and the count's, is one checked pivot-free
-SuperLU factorization in symmetric mode (``_factor``; X. S. Li, ACM TOMS 31,
-302 (2005)).  Partial pivoting leaves the symmetric ordering where the mass
-blocks dominate, and its fill explodes.
+Every factorization is one checked pivot-free SuperLU factorization in
+symmetric mode (``_factor``; X. S. Li, ACM TOMS 31, 302 (2005)).  Partial
+pivoting leaves the symmetric ordering where the mass blocks dominate, and
+its fill explodes.
 """
 
 from __future__ import annotations
@@ -112,15 +111,16 @@ class EigenReport:
     arithmetic: str = "complex"
     sectors: int = 1
     identical_sectors: bool = False
-    count_shift: Optional[float] = None
+    sector_offset: Optional[float] = None
     sector_pairs: list[int] = dc_field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         # version 2 added ordering, lu_fill, n_solves and arithmetic;
         # version 3 added sectors and identical_sectors; version 4 dropped tol;
-        # version 5 added count_shift and sector_pairs
+        # version 5 added count_shift and sector_pairs; version 6 replaced
+        # count_shift with sector_offset
         return {
-            "schema_version": 5,
+            "schema_version": 6,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),
@@ -134,7 +134,7 @@ class EigenReport:
             "arithmetic": self.arithmetic,
             "sectors": self.sectors,
             "identical_sectors": self.identical_sectors,
-            "count_shift": self.count_shift,
+            "sector_offset": self.sector_offset,
             "sector_pairs": list(self.sector_pairs),
         }
 
@@ -153,31 +153,22 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     Each eigenvalue is reported as the Rayleigh quotient of its returned
     vector against the symmetrized matrix.
 
-    A two-component matrix [[A, B], [B*, C]] with A == C and B == B*, entry
-    by entry, commutes with the swap of its spinor components (module
-    docstring) and is solved as its two sectors A + B and A - B; the k
-    lowest of the two are kept and their vectors mapped back as
-    (w, w)/sqrt(2) and (w, -w)/sqrt(2).  A + B is solved for k pairs, and
-    mu is the largest eigenvalue it returns.  A - B - mu is then factored
-    without pivoting, and nu, the number of its negative pivots, is the
-    number of eigenvalues of A - B below mu (``_inertia``).  When nu is 0,
-    A - B holds none of the k lowest and is not solved.  Otherwise it is
-    solved for min(nu + 1, k) pairs, and exactly min(nu, pairs) of them must
-    lie below mu, up to the residual bound.  When the factorization fails
-    its checks, or the pairs contradict the count, A - B is solved for k
-    pairs, and the report's ``count_shift`` is null.  At an exact tie
-    across the sectors at mu, either copy may be kept.  When B has no
-    nonzero entry, both sectors are A: it is solved once, for ceil(k/2)
-    pairs, and each pair is returned twice, as (w, 0) and (0, w).  Every
-    other matrix is one sector, solved as it is.  ``sectors`` and
+    A two-component matrix [[A, B], [B*, C]] with A == C and B = beta I,
+    beta real, entry by entry (every diagonal entry of B equal, none off it,
+    no imaginary part), commutes with the swap of its spinor components
+    (module docstring).  Its sectors are A + beta and A - beta, the first
+    shifted by -2 beta, so only A + beta is solved: for k pairs, or for
+    ceil(k/2) when beta = 0 and the two sectors are the same matrix.  Each
+    pair (lambda, w) gives the candidates lambda with (w, w)/sqrt(2) and
+    lambda - 2 beta with (w, -w)/sqrt(2), and the k lowest are kept; at an
+    exact tie either copy may be kept.  Every other matrix, a two-component one with any other
+    coupling included, is one sector, solved as it is.  ``sectors`` and
     ``identical_sectors`` in the report say which case applied,
-    ``count_shift`` is mu when the count held (else null) and
-    ``sector_pairs`` lists the pairs asked of each matrix solved (0 for an
-    A - B that was only counted).  ``lu_fill`` and ``n_solves`` sum over the
-    solves, the count's factorization apart.  The residuals and their bound
-    are those of the full matrix.
+    ``sector_offset`` is -2 beta (null for one sector) and ``sector_pairs``
+    lists the pairs returned by the one solve.  The residuals and their
+    bound are those of the full matrix.
 
-    Each sector minus sigma is factored once by ``_factor``: SuperLU without
+    The sector minus sigma is factored once by ``_factor``: SuperLU without
     pivoting, in symmetric mode, with the minimum-degree ordering on the
     pattern of A^T + A, in the sector's own dtype.  Every shift-invert step
     is a solve with that factor.  A factor that fails a check (a zero pivot,
@@ -200,8 +191,8 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     mirror-even and mirror-odd columns, and shift-invert Lanczos on it
     returned too few copies of a degenerate level (the n = 24 vortex
     H_plus, at three of eight start vectors), where the plain real solve
-    returns them all.  ``arithmetic`` in the report is "real" when every
-    sector was solved in real arithmetic.
+    returns them all.  ``arithmetic`` in the report is "real" when the
+    solve ran in real arithmetic.
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
@@ -218,46 +209,27 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     herm = ((a + a_dag) * 0.5).tocsr()
     del a_dag
 
-    sectors, identical = [herm], False
+    sector, offset = herm, None
     if components == 2:
         upper, coupling = herm[:n2, :n2], herm[:n2, n2:]
-        if ((upper != herm[n2:, n2:]).nnz == 0
-                and (coupling != coupling.getH()).nnz == 0):
-            identical = not coupling.data.any()
-            sectors = [upper] if identical else [upper + coupling, upper - coupling]
+        diag = coupling.diagonal()
+        if ((upper != herm[n2:, n2:]).nnz == 0 and not diag.imag.any()
+                and (diag == diag[0]).all()
+                and (coupling != sp.diags(diag, format="csr")).nnz == 0):
+            sector = upper + coupling
+            offset = 0.0 - 2.0 * float(diag[0].real)  # 0.0, not -0.0, when beta = 0
         del upper, coupling
-    split = sectors[0] is not herm
 
     rng = np.random.default_rng(seed)
     ncv = max(4 * min(k, dim - 2), 40)
     residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
-    runs = [_shift_invert(*_solve_form(sectors.pop(0), grid),
-                          -(-k // 2) if identical else k, rng, ncv, matrix_id)]
-    count_shift = None
-    if split and not identical:
-        count_shift = float(runs[0][0].max())
-        second = _solve_form(sectors.pop(), grid)
-        nu = _inertia(second[0], count_shift)
-        if nu:
-            runs.append(_shift_invert(*second, min(nu + 1, k), rng, ncv, matrix_id))
-            got = runs[-1][0]
-            if not (np.sum(got < count_shift - residual_bound) <= min(nu, got.size)
-                    <= np.sum(got < count_shift + residual_bound)):
-                nu = None
-        if nu is None:
-            count_shift = None
-            runs.append(_shift_invert(*second, k, rng, ncv, matrix_id))
-        del second
-    vals, vecs = runs[0][:2]
+    vals, vecs, lu_fill, n_solves, real = _shift_invert(
+        *_solve_form(sector, grid), -(-k // 2) if offset == 0.0 else k, rng, ncv, matrix_id)
+    del sector
     sector_pairs = [vals.size]
-    if identical:
-        z = np.zeros_like(vecs)
-        vals, vecs = np.concatenate((vals, vals)), np.block([[vecs, z], [z, vecs]])
-    elif split:
-        minus, wm = runs[-1][:2] if len(runs) > 1 else (vals[:0], vecs[:, :0])
-        sector_pairs.append(minus.size)
-        vals = np.concatenate((vals, minus))
-        vecs = np.block([[vecs, wm], [vecs, -wm]]) * np.sqrt(0.5)
+    if offset is not None:
+        vals = np.concatenate((vals, vals + offset))
+        vecs = np.block([[vecs, vecs], [vecs, -vecs]]) * np.sqrt(0.5)
     vecs = vecs[:, np.argsort(vals, kind="stable")[:k]]
 
     pairs = []
@@ -282,11 +254,11 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     return EigenReport(matrix_id=matrix_id, grid=grid, eigenvalues=eigenvalues,
                        vectors=fields, residuals=residuals, residual_bound=residual_bound,
                        hermiticity_defect=float(defect), method="shift-invert",
-                       ordering=ORDERING, lu_fill=sum(run[2] for run in runs),
-                       n_solves=sum(run[3] for run in runs),
-                       arithmetic="real" if all(run[4] for run in runs) else "complex",
-                       sectors=2 if split else 1, identical_sectors=identical,
-                       count_shift=count_shift, sector_pairs=sector_pairs)
+                       ordering=ORDERING, lu_fill=lu_fill, n_solves=n_solves,
+                       arithmetic="real" if real else "complex",
+                       sectors=1 if offset is None else 2,
+                       identical_sectors=offset == 0.0,
+                       sector_offset=offset, sector_pairs=sector_pairs)
 
 
 def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: int,
@@ -374,19 +346,6 @@ def _factor(form: sp.csr_matrix, shift: float) -> tuple[Optional[spla.SuperLU], 
     if not backward <= 1e-11:
         return None, f"backward error {backward:.1e} of one solve exceeds 1e-11"
     return lu, ""
-
-
-def _inertia(form: sp.csr_matrix, shift: float) -> Optional[int]:
-    """Number of eigenvalues of a Hermitian sector below shift, or None when
-    ``_factor`` refuses S - shift.  An accepted factor is the congruence
-    P (S - shift) P^T = L D L*, D the diagonal of U, so by Sylvester's law
-    of inertia the count is the number of negative entries of D.  Free heap
-    pages are handed back before U is read, which builds L and U."""
-    lu = _factor(form, shift)[0]
-    if lu is None:
-        return None
-    _MALLOC_TRIM(0)
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
 def _mirror(grid: GridSpec, components: int) -> np.ndarray:
@@ -490,6 +449,14 @@ class IndexParams:
     winding_radius: float = 1.0
     winding_samples: int = 256
 
+    def __post_init__(self):
+        # the limits the config keys index.loc_min and winding.samples check
+        if not 0 < self.loc_min <= 1:
+            raise ValueError(f"loc_min must lie in (0, 1], got {self.loc_min}")
+        if self.winding_samples < 64:
+            raise ValueError(
+                f"need at least 64 contour samples, got {self.winding_samples}")
+
 
 @dataclass
 class WittenIndexReport:
@@ -566,7 +533,7 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
     try:
         winding = winding_number(op_set.mass_entry, params.winding_radius,
                                  params.winding_samples)
-    except (ContourError, ValueError):
+    except (ContourError, ValueError):  # a mass entry with derivatives has none
         winding = None
     delta = n_minus - n_plus
     matches = (winding == delta) if winding is not None else None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -139,16 +140,17 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
         "residual_bound", "hermiticity_defect", "method", "ordering",
         "lu_fill", "n_solves", "arithmetic", "sectors", "identical_sectors",
-        "count_shift", "sector_pairs"}
+        "sector_offset", "sector_pairs"}
     # the identity is [[I, 0], [0, I]]: two identical sectors, solved once
-    # for ceil(3/2) pairs, and nothing to count
+    # for ceil(3/2) pairs
     assert (payload["sectors"], payload["identical_sectors"]) == (2, True)
-    assert (payload["count_shift"], payload["sector_pairs"]) == (None, [2])
+    assert (payload["sector_offset"], payload["sector_pairs"]) == (0.0, [2])
+    assert str(payload["sector_offset"]) == "0.0"  # not -0.0
 
 
 def _defect(upper, lower):
@@ -262,7 +264,7 @@ def test_swap_split_keeps_every_copy_of_a_degenerate_level():
 def _sectors(grid, coupling=1):
     """The vortex H_minus [[A, B], [B, A]] (B = -1 on the grid) with its
     coupling scaled, [[A, cB], [cB, A]], and the dense spectra of its
-    sectors A + cB, which is solved first, and A - cB."""
+    sectors A + cB, which is solved, and A - cB."""
     n2 = grid.num_nodes
     herm = build_operator_set(ModelSpec(), grid).H_minus_mat
     herm = ((herm + herm.getH()) * 0.5).tocsr()
@@ -271,28 +273,16 @@ def _sectors(grid, coupling=1):
     return mat, [np.linalg.eigvalsh((upper + sign * b).toarray().real) for sign in (1, -1)]
 
 
-def test_count_matches_the_dense_inertia():
-    # pivot-free counts of eigenvalues below a shift, in each form the
-    # solve takes: a real scalar sector, the mirror-pair form of a complex
-    # T-symmetric partner and a complex one; shifts below the spectrum
-    # (positive definite) and between levels (indefinite)
-    for n in (16, 25):
-        grid, n2 = GridSpec(5.0, n), n * n
-        vortex = _sectors(grid)[0]
-        cases = {
-            "real": vortex[:n2, :n2] - vortex[:n2, n2:],
-            "mirror-pair": build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat,
-            "complex": _block_set(Z * crat(1, 2), ZBAR)(grid).H_minus_mat,
-        }
-        for name, mat in cases.items():
-            mat = ((mat + mat.getH()) * 0.5).tocsr()
-            form, basis = spectral._solve_form(mat, grid)
-            assert (basis is not None) == (name == "mirror-pair")
-            levels = np.linalg.eigvalsh(mat.toarray())
-            shifts = [levels[0] - 0.25] + [(a + b) / 2 for a, b in zip(levels[:24], levels[1:25])
-                                           if b - a > 1e-6]
-            for shift in shifts:
-                assert spectral._inertia(form, shift) == np.sum(levels < shift), (name, shift)
+def _count_factorizations(monkeypatch):
+    """Wrap ``spectral._factor``; the returned list grows by one per call."""
+    calls, factor = [], spectral._factor
+
+    def counted(form, shift):
+        calls.append(shift)
+        return factor(form, shift)
+
+    monkeypatch.setattr(spectral, "_factor", counted)
+    return calls
 
 
 @pytest.mark.parametrize("matrix, counted", [
@@ -302,47 +292,68 @@ def test_count_matches_the_dense_inertia():
     ([[2.0, 1.0], [1.0, -3.0]], 1),
 ])
 def test_count_refuses_a_factorization_it_cannot_trust(matrix, counted):
-    assert spectral._inertia(sp.csr_matrix(matrix), 0.0) == counted
+    # a refused factor comes with the check it failed; the indefinite matrix
+    # is factored, and its negative pivots count its negative eigenvalues
+    lu, failed = spectral._factor(sp.csr_matrix(matrix), 0.0)
+    if counted is None:
+        assert lu is None
+        assert re.search("zero pivot|singular|backward error", failed)
+    else:
+        assert failed == ""
+        assert np.count_nonzero(lu.U.diagonal() < 0) == counted
 
 
-@pytest.mark.parametrize("coupling, k, counted", [
-    (1, 3, 0),               # the vortex H_minus itself: the second sector is not solved
-    (Fraction(1, 8), 3, 1),   # a second sector slightly above the first: two pairs
-    (Fraction(-1, 8), 3, 3),  # slightly below: k pairs
-    (-1, 8, 23),             # the second sector holds the kernel: k pairs
+@pytest.mark.parametrize("coupling, k, from_second", [
+    (1, 3, 0),               # the vortex H_minus itself: A + B holds the 3 lowest
+    (Fraction(1, 8), 3, 1),   # a second sector slightly above the first
+    (Fraction(-1, 8), 3, 2),  # slightly below
+    (-1, 8, 7),              # the second sector holds the kernel
 ])
-def test_count_sizes_the_second_sector(coupling, k, counted):
-    # A + cB is solved for k pairs, A - cB is counted below the largest of
-    # them, mu, and asked for one pair more than the count (at most k);
-    # the merged k lowest are the dense ones
+def test_scalar_coupling_is_solved_once(monkeypatch, coupling, k, from_second):
+    # [[A, beta], [beta, A]] has the sectors A + beta and A - beta, the first
+    # shifted by -2 beta: A + beta is factored and solved once for k pairs,
+    # each pair also gives the antisymmetric vector of the second sector,
+    # and the k lowest of both are the dense ones, orthonormal, with each
+    # antisymmetric vector's eigenvalue from the second sector
     grid = GridSpec(5.0, 20)
+    n2 = grid.num_nodes
     mat, (first, second) = _sectors(grid, float(coupling))
-    mu = first[k - 1]
-    assert np.sum(second < mu) == counted
+    beta = mat[0, n2].real
     exact = np.sort(np.concatenate((first, second)))[:k]
+    calls = _count_factorizations(monkeypatch)
     for seed in range(3):
         rep = low_spectrum(mat, k, grid=grid, seed=seed)
-        assert abs(rep.count_shift - mu) <= rep.residual_bound
-        assert rep.sector_pairs == [k, min(counted + 1, k) if counted else 0]
+        assert len(calls) == seed + 1
+        assert (rep.sectors, rep.identical_sectors) == (2, False)
+        assert (rep.sector_pairs, rep.sector_offset) == ([k], -2 * beta)
         assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
         assert max(rep.residuals) <= rep.residual_bound
+        vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
+        assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(k))) <= 1e-9
+        odd = [lam for lam, v in zip(rep.eigenvalues, vecs)
+               if np.array_equal(v[n2:], -v[:n2])]
+        even = [lam for lam, v in zip(rep.eigenvalues, vecs)
+                if np.array_equal(v[n2:], v[:n2])]
+        assert (len(odd), len(even)) == (from_second, k - from_second)
+        assert np.max(np.abs(np.subtract(odd, second[:from_second])), initial=0) <= 1e-9
+        assert np.max(np.abs(np.subtract(even, first[:k - from_second])), initial=0) <= 1e-9
 
 
-@pytest.mark.parametrize("count", ["refused", "wrong"])
-def test_failed_count_solves_the_second_sector_for_k_pairs(monkeypatch, count):
-    # a count that cannot be trusted, or one that the second sector's
-    # eigenvalues contradict, falls back to k pairs, and the report says so
-    # with a null count_shift
-    counted = spectral._inertia
-    monkeypatch.setattr(spectral, "_inertia", lambda form, shift: (
-        None if count == "refused" else counted(form, shift) + 1))
-    grid = GridSpec(5.0, 24)
-    mat, spectra = _sectors(grid)
-    exact = np.sort(np.concatenate(spectra))[:8]
+def test_non_scalar_coupling_is_one_sector(monkeypatch):
+    # [[A, B], [B, A]] with B a real diagonal that varies commutes with the
+    # spinor swap too, but its sectors A + B and A - B are not one matrix
+    # shifted, so it is solved whole, with one factorization
+    grid = GridSpec(5.0, 20)
+    n2 = grid.num_nodes
+    upper = _sectors(grid)[0][:n2, :n2]
+    b = sp.diags(np.linspace(-1.0, 0.5, n2), format="csr")
+    mat = sp.bmat([[upper, b], [b, upper]], format="csr")
+    exact = np.linalg.eigvalsh(mat.toarray())[:8]
+    calls = _count_factorizations(monkeypatch)
     rep = low_spectrum(mat, 8, grid=grid, seed=1)
-    assert (rep.count_shift, rep.sector_pairs) == (None, [8, 8])
-    assert rep.to_json_dict()["count_shift"] is None
+    assert (rep.sectors, rep.sector_offset, rep.sector_pairs, len(calls)) == (1, None, [8], 1)
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+    assert max(rep.residuals) <= rep.residual_bound
 
 
 def test_pivot_free_fill_does_not_grow_with_the_mass():
@@ -361,14 +372,15 @@ def test_pivot_free_fill_does_not_grow_with_the_mass():
         assert fills[16, name] <= 1.5 * fills[4, name]
 
 
-def test_unperturbed_h_minus_solves_one_sector():
+def test_unperturbed_h_minus_solves_one_sector(monkeypatch):
     # the solve budget of the refinement study: at n = 49 and k = 3 the
-    # sector A + B holds the three lowest levels, so A - B is only counted
+    # coupling is -t = -1, so A - 1 is factored and solved once, and A + 1
+    # is that sector shifted by +2
     grid = GridSpec(5.0, 49)
     exact = np.sort(np.concatenate(_sectors(grid)[1]))[:3]
+    calls = _count_factorizations(monkeypatch)
     rep = low_spectrum(build_operator_set(ModelSpec(), grid).H_minus_mat, 3, grid=grid)
-    assert rep.sector_pairs == [3, 0]
-    assert abs(rep.count_shift - rep.eigenvalues[2]) <= rep.residual_bound
+    assert (rep.sector_pairs, rep.sector_offset, len(calls)) == ([3], 2.0, 1)
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
 
 
@@ -562,6 +574,16 @@ def test_winding_mismatch_warns():
     with pytest.warns(spectral.AmbiguousGapWarning, match="disagrees"):
         report = witten_index(op_set, grid, IndexParams(k=8))
     assert (report.delta, report.winding, report.winding_matches) == (2, 0, False)
+
+
+@pytest.mark.parametrize("bad", [dict(winding_samples=10), dict(loc_min=1.5),
+                                 dict(loc_min=0.0), dict(loc_min=-0.5)])
+def test_index_params_refuse_what_the_config_refuses(bad):
+    # winding_number would raise on 10 samples, which the index took for an
+    # undefined winding, and loc_min = 1.5 counted no mode at all
+    with pytest.raises(ValueError):
+        IndexParams(**bad)
+    IndexParams(winding_samples=64, loc_min=1.0)
 
 
 def test_witten_index_json_schema_fields(desk_index):
