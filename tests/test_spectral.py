@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dil import (BlockOperator, ContourError,
+from dil import (BlockOperator, ContourError, adjoint,
                  EigenReport, GridSpec, IndexParams, ModelSpec, SolverError,
                  build_operator_set, low_spectrum, mode_census, monomial,
                  operator_set_from_block, pairing_check, winding_number,
@@ -89,7 +89,6 @@ def test_real_matrix_gets_exact_spectrum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = low_spectrum(a, 4, grid=g, matrix_id="diagonal")
-    assert rep.method == "shift-invert"
     assert rep.eigenvalues == pytest.approx([1.0, 2.0, 3.0, 4.0], rel=1e-12, abs=0)
     assert rep.ordering == "MMD_AT_PLUS_A"
     assert rep.lu_fill == 2 * dim  # SuperLU stores the unit diagonal of L
@@ -124,7 +123,6 @@ def test_sparse_and_dense_paths_agree(op_set, name):
     mat = getattr(op_set, name)
     dense = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
     sparse = low_spectrum(mat, 8, grid=op_set.grid, matrix_id=name)
-    assert sparse.method == "shift-invert"
     assert sparse.ordering == "MMD_AT_PLUS_A"
     assert sparse.lu_fill > 0
     assert sparse.n_solves >= 8
@@ -140,15 +138,13 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 6
+    assert payload["schema_version"] == 7
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
-        "residual_bound", "hermiticity_defect", "method", "ordering",
-        "lu_fill", "n_solves", "arithmetic", "sectors", "identical_sectors",
-        "sector_offset", "sector_pairs"}
-    # the identity is [[I, 0], [0, I]]: two identical sectors, solved once
-    # for ceil(3/2) pairs
-    assert (payload["sectors"], payload["identical_sectors"]) == (2, True)
+        "residual_bound", "hermiticity_defect", "ordering", "lu_fill",
+        "n_solves", "arithmetic", "sector_offset", "sector_pairs"}
+    # the identity is [[I, 0], [0, I]]: two identical sectors (offset 0.0),
+    # solved once for ceil(3/2) pairs
     assert (payload["sector_offset"], payload["sector_pairs"]) == (0.0, [2])
     assert str(payload["sector_offset"]) == "0.0"  # not -0.0
 
@@ -163,15 +159,15 @@ def _block_set(upper, lower):
 
 
 _REAL_FORM_CASES = {
-    # builder, arithmetic, and the number of sectors of both partners
-    "vortex-c0": (lambda grid: build_operator_set(ModelSpec(), grid), "real", 2),
+    # builder, arithmetic, and whether both partners split into two sectors
+    "vortex-c0": (lambda grid: build_operator_set(ModelSpec(), grid), "real", True),
     "vortex-c0.3": (lambda grid: build_operator_set(ModelSpec(epsilon="0.3"), grid),
-                    "real", 1),
-    "anti-vortex-m1": (_block_set(Z, ZBAR), "real", 2),
-    "anti-vortex-m41/20": (_block_set(Z * Fraction(41, 20), ZBAR), "real", 1),
+                    "real", False),
+    "anti-vortex-m1": (_block_set(Z, ZBAR), "real", True),
+    "anti-vortex-m41/20": (_block_set(Z * Fraction(41, 20), ZBAR), "real", False),
     "N=2-m5/2": (_block_set(monomial(Fraction(5, 2), pow_zbar=2),
-                            monomial(1, pow_z=2)), "real", 1),
-    "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), "complex", 1),
+                            monomial(1, pow_z=2)), "real", False),
+    "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), "complex", False),
 }
 
 
@@ -187,7 +183,7 @@ def test_real_arithmetic_matches_the_complex_spectrum(n, case, name):
     # Hermitian matrix itself.  Only the partners with a unit mass
     # multiplier (c = 0, m = 1) commute with the swap of the spinor
     # components and split into two sectors.
-    build, arithmetic, sectors = _REAL_FORM_CASES[case]
+    build, arithmetic, split = _REAL_FORM_CASES[case]
     grid = GridSpec(5.0, n)
     mat = getattr(build(grid), name)
     assert np.iscomplexobj(mat)
@@ -196,23 +192,20 @@ def test_real_arithmetic_matches_the_complex_spectrum(n, case, name):
         rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed)
         assert rep.arithmetic == arithmetic
         assert rep.to_json_dict()["arithmetic"] == arithmetic
-        assert rep.to_json_dict()["sectors"] == rep.sectors == sectors
+        assert (rep.to_json_dict()["sector_offset"] is not None) == split
         assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
         assert max(rep.residuals) <= rep.residual_bound
     assert low_spectrum(mat, 8, grid=grid).arithmetic == arithmetic
 
 
 _SWAP_CASES = {
-    # builder, then (sectors, identical_sectors) of H_minus and of H_plus
-    "vortex-t1": (lambda grid: build_operator_set(ModelSpec(), grid),
-                  (2, False), (2, True)),
-    "vortex-t2": (lambda grid: build_operator_set(ModelSpec(t=2), grid),
-                  (2, False), (2, True)),
-    "anti-vortex-m1": (_block_set(Z, ZBAR), (2, True), (2, False)),
-    "N=2-m1": (_block_set(monomial(1, pow_zbar=2), monomial(1, pow_z=2)),
-               (1, False), (2, True)),
-    "N=-2-m1": (_block_set(monomial(1, pow_z=2), monomial(1, pow_zbar=2)),
-                (2, True), (1, False)),
+    # builder, then the sector offset -2 beta of H_minus and of H_plus
+    # (None: one sector; 0.0: two identical sectors)
+    "vortex-t1": (lambda grid: build_operator_set(ModelSpec(), grid), 2.0, 0.0),
+    "vortex-t2": (lambda grid: build_operator_set(ModelSpec(t=2), grid), 4.0, 0.0),
+    "anti-vortex-m1": (_block_set(Z, ZBAR), 0.0, -2.0),
+    "N=2-m1": (_block_set(monomial(1, pow_zbar=2), monomial(1, pow_z=2)), None, 0.0),
+    "N=-2-m1": (_block_set(monomial(1, pow_z=2), monomial(1, pow_zbar=2)), 0.0, None),
 }
 
 
@@ -224,15 +217,15 @@ def test_swap_sectors_match_the_dense_spectrum(case, n):
     # B = 0; the merged spectrum is the dense one, every copy of a
     # degenerate level included, from every start vector, and the returned
     # vectors are orthonormal
-    build, *splits = _SWAP_CASES[case]
+    build, *offsets = _SWAP_CASES[case]
     grid = GridSpec(5.0, n)
     op_set = build(grid)
-    for name, split in zip(("H_minus_mat", "H_plus_mat"), splits):
+    for name, offset in zip(("H_minus_mat", "H_plus_mat"), offsets):
         mat = getattr(op_set, name)
         exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
         for seed in range(8):
             rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed)
-            assert (rep.sectors, rep.identical_sectors) == split
+            assert rep.sector_offset == offset
             assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
             assert max(rep.residuals) <= rep.residual_bound
             vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
@@ -324,7 +317,6 @@ def test_scalar_coupling_is_solved_once(monkeypatch, coupling, k, from_second):
     for seed in range(3):
         rep = low_spectrum(mat, k, grid=grid, seed=seed)
         assert len(calls) == seed + 1
-        assert (rep.sectors, rep.identical_sectors) == (2, False)
         assert (rep.sector_pairs, rep.sector_offset) == ([k], -2 * beta)
         assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
         assert max(rep.residuals) <= rep.residual_bound
@@ -351,7 +343,7 @@ def test_non_scalar_coupling_is_one_sector(monkeypatch):
     exact = np.linalg.eigvalsh(mat.toarray())[:8]
     calls = _count_factorizations(monkeypatch)
     rep = low_spectrum(mat, 8, grid=grid, seed=1)
-    assert (rep.sectors, rep.sector_offset, rep.sector_pairs, len(calls)) == (1, None, [8], 1)
+    assert (rep.sector_offset, rep.sector_pairs, len(calls)) == (None, [8], 1)
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
     assert max(rep.residuals) <= rep.residual_bound
 
@@ -433,7 +425,7 @@ def test_count_zero_modes_unperturbed(desk_index, desk_grid):
 def test_count_zero_modes_empty_report(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
-                        hermiticity_defect=0.0, method="shift-invert")
+                        hermiticity_defect=0.0)
     assert mode_census(empty, desk_grid, 0.5, desk_grid.L / 2, 0.95) == (0, [], False)
 
 
@@ -492,11 +484,6 @@ def test_winding_zero_on_contour():
         winding_number(Z - ONE, radius=1.0)
 
 
-def test_winding_sample_floor():
-    with pytest.raises(ValueError):
-        winding_number(Z, radius=1.0, samples=16)
-
-
 def test_winding_rejects_derivative_expressions():
     from dil.opcalc import D
     with pytest.raises(ValueError):
@@ -509,10 +496,19 @@ def test_winding_degree_two_zero():
 
 
 def test_winding_refuses_to_alias():
-    # z^40 turns 40 * 2pi / 64 per step at 64 samples: it would read -24
-    with pytest.raises(ContourError, match="alias"):
-        winding_number(monomial(1, pow_z=40), 1.0, 64)
-    assert winding_number(monomial(1, pow_z=40), 1.0, 256) == 40
+    # z^40 turns 40 * 2pi / 64 per step at 64 samples, where it would read
+    # -24: the samples double until every step is below pi/2
+    assert winding_number(monomial(1, pow_z=40), radius=1.0) == 40
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9])
+def test_winding_near_a_zero_raises_at_the_sample_cap(offset):
+    # a zero 1e-9 off the unit contour turns the phase by about pi between
+    # any two samples the cap allows: no count is returned
+    zero = complex((1.0 + offset) * np.exp(1j))
+    near = Z - ONE * crat(Fraction(zero.real), Fraction(zero.imag))
+    with pytest.raises(ContourError, match="too close to a zero"):
+        winding_number(near, radius=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -564,26 +560,40 @@ def test_negative_winding_puts_the_kernel_in_h_plus(upper, lower, counts):
     assert (report.n_minus, report.n_plus, report.delta, report.winding) == counts
 
 
-def test_winding_mismatch_warns():
-    # the lower entry (z - 3/2)(z + 3/2) has index 2, but the unit contour
-    # encloses neither zero, so the winding reads 0
-    grid = GridSpec(10.0, 32)
-    shift = ONE * Fraction(9, 4)
-    op_set = operator_set_from_block(
-        _defect(monomial(1, pow_zbar=2) - shift, monomial(1, pow_z=2) - shift), grid)
-    with pytest.warns(spectral.AmbiguousGapWarning, match="disagrees"):
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize("mixed, delta", [(False, 2), (True, 0)],
+                         ids=["(z-a)(z+a)", "(z-a)(zb+a)"])
+def test_multi_defect_winding_is_taken_on_the_grid_contour(a, mixed, delta):
+    # the lower entry (z - a)(z + a) has index 2, (z - a)(zb + a) index 0;
+    # the contour |z| = L encloses both zeros, which the unit circle does
+    # not for a = 3/2 and 5/2; n = 32 under-resolves the a = 5/2 modes
+    grid = GridSpec(10.0, 48)
+    second = (ZBAR if mixed else Z) + ONE * a
+    lower = (Z - ONE * a) * second
+    op_set = operator_set_from_block(_defect(adjoint(lower), lower), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spectral.AmbiguousGapWarning)
         report = witten_index(op_set, grid, IndexParams(k=8))
-    assert (report.delta, report.winding, report.winding_matches) == (2, 0, False)
+    assert (report.delta, report.winding, report.winding_matches) == (delta, delta, True)
 
 
-@pytest.mark.parametrize("bad", [dict(winding_samples=10), dict(loc_min=1.5),
+def test_winding_mismatch_warns(monkeypatch):
+    # an index that disagrees with the winding warns and reports the mismatch
+    grid = GridSpec(5.0, 24)
+    monkeypatch.setattr(spectral, "winding_number", lambda multiplier, radius: 0)
+    with pytest.warns(spectral.AmbiguousGapWarning, match="disagrees"):
+        report = witten_index(build_operator_set(ModelSpec(), grid), grid, IndexParams(k=6))
+    assert (report.delta, report.winding, report.winding_matches) == (1, 0, False)
+
+
+@pytest.mark.parametrize("bad", [dict(k=0), dict(loc_min=1.5),
                                  dict(loc_min=0.0), dict(loc_min=-0.5)])
 def test_index_params_refuse_what_the_config_refuses(bad):
-    # winding_number would raise on 10 samples, which the index took for an
-    # undefined winding, and loc_min = 1.5 counted no mode at all
-    with pytest.raises(ValueError):
+    # k = 0 went on to ARPACK's bare "k must be greater than 0", and
+    # loc_min = 1.5 counted no mode at all
+    with pytest.raises(ValueError, match=next(iter(bad))):
         IndexParams(**bad)
-    IndexParams(winding_samples=64, loc_min=1.0)
+    IndexParams(k=1, loc_min=1.0)
 
 
 def test_witten_index_json_schema_fields(desk_index):
@@ -610,7 +620,7 @@ def test_pairing_of_unperturbed_partners(desk_index):
 def test_pairing_empty_spectra(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
-                        hermiticity_defect=0.0, method="shift-invert")
+                        hermiticity_defect=0.0)
     report = pairing_check(empty, empty, cutoff=2.5)
     assert report.all_matched
     assert report.pairs == []
@@ -628,7 +638,7 @@ def test_pairing_reports_mismatches(desk_index, desk_grid):
     shifted = EigenReport(matrix_id="shifted", grid=desk_grid,
                           eigenvalues=[v + 0.3 for v in desk_index.eigenvalues_plus],
                           vectors=[], residuals=[], residual_bound=0.0,
-                          hermiticity_defect=0.0, method="shift-invert")
+                          hermiticity_defect=0.0)
     report = pairing_check(desk_index.minus_report, shifted, cutoff=1.5, tol=0.05)
     assert not report.all_matched
     assert report.unmatched_minus
