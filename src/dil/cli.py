@@ -31,7 +31,8 @@ from .analysis import (ConvergenceRow, SweepRow, algebra_check, convergence_stud
 from .errors import ConfigError, DilError, ModelError, SolverError
 from .lattice import GridSpec, field_to_csv, write_csv
 from .opcalc import render_expression
-from .spectral import EigenReport, IndexParams, winding_number, witten_index
+from .spectral import (EigenReport, IndexParams, WittenIndexReport, winding_number,
+                       witten_index)
 from .susy import ModelSpec, build_operator_set, build_susy_quartet
 from . import selftest
 
@@ -61,16 +62,10 @@ def _parse_number_list(x: Any, key: str) -> list[float]:
     return [_parse_number(v, key) for v in x]
 
 
-def _parse_auto_or_number(x: Any, key: str) -> Optional[float]:
-    if x == "auto" or x is None:
-        return None
-    return _parse_number(x, key)
-
-
 def _key(default: Any, parse: Callable[[Any, str], Any],
          rule: Optional[tuple] = None) -> Any:
     """One config key: its default, its parser and an optional (check, text)
-    rule on the parsed value, skipped for None ('auto' or null)."""
+    rule on the parsed value."""
     meta = {"parse": parse, "rule": rule}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
@@ -95,10 +90,6 @@ class ExperimentConfig:
     model_f1: float = _key(1.0, _parse_number)
     model_f1_series: list[float] = _key([], _parse_number_list)
     solver_k: int = _key(8, _parse_int, _AT_LEAST_ONE)
-    index_gap_threshold: Optional[float] = _key(None, _parse_auto_or_number, _POSITIVE)
-    index_loc_radius: Optional[float] = _key(None, _parse_auto_or_number, _POSITIVE)
-    index_loc_min: float = _key(0.95, _parse_number, (
-        lambda v: 0 < v <= 1, "must lie in (0, 1]"))
     sweep_c_values: list[float] = _key([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _parse_number_list, (
         lambda v: all(c < 1 for c in v), "must all be below 1"))
     convergence_n_values: list[float] = _key([49, 97, 193], _parse_number_list, (
@@ -115,17 +106,12 @@ class ExperimentConfig:
                          f1_series=tuple(self.model_f1_series))
 
     def index_params(self) -> IndexParams:
-        return IndexParams(k=self.solver_k, seed=self.seed,
-                           gap_threshold=self.index_gap_threshold,
-                           loc_radius=self.index_loc_radius,
-                           loc_min=self.index_loc_min)
+        return IndexParams(k=self.solver_k, seed=self.seed)
 
     def to_flat_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
         for key, f in CONFIG_KEYS.items():
             value = getattr(self, f.name)
-            if value is None and f.metadata["parse"] is _parse_auto_or_number:
-                value = "auto"
             out[key] = list(value) if isinstance(value, list) else value
         return out
 
@@ -138,6 +124,7 @@ def _read_flat_file(path: Path) -> dict[str, Any]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, Any] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -147,6 +134,9 @@ def _read_flat_file(path: Path) -> dict[str, Any]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             out[key] = json.loads(value)
         except json.JSONDecodeError as exc:
@@ -190,11 +180,8 @@ def load_config(path: Optional[str], seed_flag: Optional[int] = None) -> Experim
     # errors carry the config key, not the module that would reject the value
     for key, f in CONFIG_KEYS.items():
         value, rule = getattr(cfg, f.name), f.metadata["rule"]
-        if rule is not None and value is not None and not rule[0](value):
+        if rule is not None and not rule[0](value):
             raise ConfigError(f"{key} {rule[1]}, got {value!r}")
-    if cfg.index_loc_radius is not None and cfg.index_loc_radius > cfg.grid_L:
-        raise ConfigError(f"index.loc_radius must not exceed grid.L = {cfg.grid_L}, "
-                          f"got {cfg.index_loc_radius}")
     try:
         cfg.model()
     except ModelError as exc:
@@ -229,10 +216,16 @@ def _spectrum_writer(rep: EigenReport) -> Callable[[Path], None]:
                  for i, (lam, res) in enumerate(zip(rep.eigenvalues, rep.residuals))])
 
 
+def _index_passed(report: WittenIndexReport) -> bool:
+    """The index's pass criterion: it agrees with the winding, where there is
+    one, and no eigenvalue sits near the counting threshold."""
+    return report.winding_matches is not False and not report.ambiguous
+
+
 def _run_index(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
     op_set = build_operator_set(cfg.model(), cfg.grid())
     report = witten_index(op_set, cfg.grid(), cfg.index_params())
-    passed = report.winding_matches is not False and not report.ambiguous
+    passed = _index_passed(report)
     side: SideFiles = [("spectrum_minus.csv", _spectrum_writer(report.minus_report)),
                        ("spectrum_plus.csv", _spectrum_writer(report.plus_report))]
     return report.to_json_dict(), passed, side
@@ -267,7 +260,9 @@ def _run_zero_modes(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
             "fit_r_squared": fit.r_squared,
         })
         side.append((f"mode{i}.csv", lambda p, v=vec: field_to_csv(v, p)))
-    return results, all(f >= report.loc_min for f in fractions), side
+    # the index's criterion, and every listed sub-gap mode counted as localized
+    passed = _index_passed(report) and all(f >= report.loc_min for f in fractions)
+    return results, passed, side
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
@@ -364,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     elapsed = time.perf_counter() - t0
 
     report = {
-        "schema_version": 4,
+        "schema_version": 5,
         "package_version": __version__,
         "subcommand": args.subcommand,
         "seed": cfg.seed,

@@ -13,10 +13,10 @@ the spectral gap.  The index of a multi-vortex is its total winding
 largest circle inside the grid, |z| = L, sampled as finely as the entry's
 phase needs.
 
-The sub-gap threshold can be given explicitly or left to self-calibrate.
-Self-calibration always uses half the smallest eigenvalue of H_plus (capped
-at the unperturbed half-gap 0.5, and 0.5 when that eigenvalue is not
-positive): supersymmetry pairs the nonzero spectra of the two partners, so
+The census calibrates its constants from the data, with no setting.  The
+sub-gap threshold is half the smallest eigenvalue of H_plus (capped at the
+unperturbed half-gap 0.5, and 0.5 when that eigenvalue is not positive):
+supersymmetry pairs the nonzero spectra of the two partners, so
 when H_plus has no kernel that eigenvalue IS the spectral gap.  This
 matters for strong perturbations, where the gap collapses roughly like
 (1 - c) and a fixed 0.5 threshold would start swallowing paired excited
@@ -77,6 +77,7 @@ from .susy import DefectOperatorSet, ModelSpec
 SHIFT = -0.5
 ORDERING = "MMD_AT_PLUS_A"
 CONTOUR_SAMPLES_CAP = 2 ** 16
+LOC_MIN = 0.95  # least share of a counted mode's mass inside the census disk
 
 # glibc raises its mmap threshold to the size of each mapped block that is
 # freed, up to 32 MiB, so after a few solves the factorization's arrays (a
@@ -430,30 +431,26 @@ def winding_number(multiplier: OperatorExpression, radius: float) -> int:
 
 @dataclass(frozen=True)
 class IndexParams:
-    """Solver and counting knobs for the index computation.
+    """Solver settings for the index computation.
 
     k and seed go to low_spectrum for each partner, which always solves to
-    machine precision.  gap_threshold and loc_radius default to None,
-    meaning self-calibrate: the threshold from half the smallest H_plus
-    eigenvalue (capped at 0.5; wrong when H_plus holds the kernel, see
-    ROADMAP.md item 4) and the radius from the predicted Gaussian decay
-    rate (clipped to [L/2, 0.7L]), so the counted disk always holds the
-    1 - e^-8 mass fraction of the expected mode.  The winding cross-check
-    takes the contour |z| = L of the grid itself.
+    machine precision.  The census has no setting: it always calibrates
+    the threshold from half the smallest H_plus eigenvalue (capped at 0.5;
+    wrong when H_plus holds the kernel, see ROADMAP.md item 4) and the disk
+    radius from the predicted Gaussian decay rate (clipped to [L/2, 0.7L]),
+    so the counted disk always holds the 1 - e^-8 mass fraction of the
+    expected mode, and counts a mode with at least LOC_MIN of its mass in
+    that disk.  The winding cross-check takes the contour |z| = L of the
+    grid itself.
     """
 
     k: int = 8
     seed: int = 0
-    gap_threshold: Optional[float] = None
-    loc_radius: Optional[float] = None
-    loc_min: float = 0.95
 
     def __post_init__(self):
-        # the limits the config keys solver.k and index.loc_min check
+        # the limit the config key solver.k checks
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if not 0 < self.loc_min <= 1:
-            raise ValueError(f"loc_min must lie in (0, 1], got {self.loc_min}")
 
 
 @dataclass
@@ -511,22 +508,17 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
     rp = low_spectrum(op_set.H_plus_mat, params.k, grid=grid,
                       matrix_id="H_plus", seed=params.seed)
 
-    gap = params.gap_threshold
-    if gap is None:
-        lead = rp.eigenvalues[0] if rp.eigenvalues else 0.0
-        gap = min(0.5, lead / 2.0) if lead > 0 else 0.5
+    lead = rp.eigenvalues[0] if rp.eigenvalues else 0.0
+    gap = min(0.5, lead / 2.0) if lead > 0 else 0.5
 
-    loc_radius = params.loc_radius
-    if loc_radius is None:
-        loc_radius = grid.L / 2
-        if op_set.model is not None:
-            alpha = op_set.model.predicted_alpha()
-            if alpha > 0:
-                loc_radius = max(grid.L / 2,
-                                 min(0.7 * grid.L, float(np.sqrt(4.0 / alpha))))
+    loc_radius = grid.L / 2
+    if op_set.model is not None:
+        alpha = op_set.model.predicted_alpha()
+        if alpha > 0:
+            loc_radius = max(grid.L / 2, min(0.7 * grid.L, float(np.sqrt(4.0 / alpha))))
 
-    n_minus, frac_minus, amb_m = mode_census(rm, grid, gap, loc_radius, params.loc_min)
-    n_plus, frac_plus, amb_p = mode_census(rp, grid, gap, loc_radius, params.loc_min)
+    n_minus, frac_minus, amb_m = mode_census(rm, grid, gap, loc_radius, LOC_MIN)
+    n_plus, frac_plus, amb_p = mode_census(rp, grid, gap, loc_radius, LOC_MIN)
 
     try:
         winding = winding_number(op_set.mass_entry, grid.L)
@@ -541,8 +533,7 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
 
     return WittenIndexReport(
         n_minus=n_minus, n_plus=n_plus, delta=delta,
-        gap_threshold=float(gap), loc_radius=float(loc_radius),
-        loc_min=params.loc_min,
+        gap_threshold=float(gap), loc_radius=float(loc_radius), loc_min=LOC_MIN,
         localization_fractions={"minus": frac_minus, "plus": frac_plus},
         winding=winding, winding_matches=matches,
         ambiguous=amb_m or amb_p,

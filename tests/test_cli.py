@@ -12,6 +12,7 @@ import pytest
 
 from dil.cli import CONFIG_KEYS, ExperimentConfig, load_config, main
 from dil.errors import ConfigError
+from dil.spectral import AmbiguousGapWarning
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,10 +54,12 @@ def test_unknown_key_is_a_hard_error(tmp_path):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("key", ["winding.radius", "winding.samples"])
+@pytest.mark.parametrize("key", ["winding.radius", "winding.samples", "index.gap_threshold",
+                                 "index.loc_radius", "index.loc_min"])
 def test_the_contour_is_not_configurable(tmp_path, monkeypatch, key):
     # the winding is taken on the grid's contour |z| = L, sampled as finely
-    # as the entry needs: the keys that once set it are unknown
+    # as the entry needs, and the census calibrates its threshold and disk
+    # from the data: the keys that once set them are unknown
     path = tmp_path / "bad.cfg"
     path.write_text(f"{key} = 256\n")
     with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {key}")):
@@ -67,11 +70,21 @@ def test_the_contour_is_not_configurable(tmp_path, monkeypatch, key):
         load_config(None)
 
 
+def test_a_key_set_twice_in_a_file_is_an_error(tmp_path, monkeypatch):
+    # it was last-wins: grid.n = 96 then grid.n = 24 ran at 24
+    path = tmp_path / "twice.cfg"
+    path.write_text("grid.n = 96\n# comment\ngrid.n = 24\n")
+    with pytest.raises(ConfigError, match=r"twice\.cfg:3: 'grid\.n' is already set on line 1"):
+        load_config(str(path))
+    # the environment still overrides the file
+    path.write_text("grid.n = 96\n")
+    monkeypatch.setenv("DIL_GRID_N", "24")
+    assert load_config(str(path)).grid_n == 24
+
+
 # one value per key that has a rule, breaking that rule
 RULE_BREAKERS = {
-    "grid.L": 0, "grid.n": 4, "solver.k": 0,
-    "index.gap_threshold": 0, "index.loc_radius": -1,
-    "index.loc_min": 1.5, "sweep.c_values": [0, 1.0],
+    "grid.L": 0, "grid.n": 4, "solver.k": 0, "sweep.c_values": [0, 1.0],
     "convergence.n_values": [49, 97],
 }
 
@@ -125,9 +138,6 @@ def test_constraint_revalidation(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("model.epsilon = 2\nmodel.f1 = 1\n")
     with pytest.raises(ConfigError, match="model"):
-        load_config(str(path))
-    path.write_text("grid.L = 3\nindex.loc_radius = 3.5\n")
-    with pytest.raises(ConfigError, match="index.loc_radius"):
         load_config(str(path))
 
 
@@ -226,6 +236,24 @@ def test_zero_modes_subcommand(fast_config, tmp_path):
     assert (tmp_path / "modes_mode0.csv").exists()
 
 
+def test_zero_modes_fails_where_index_fails(tmp_path):
+    # at t = 8 the n = 24 grid under-resolves the mode: the census counts
+    # none, against winding 1; zero-modes passed on the empty count
+    path = tmp_path / "t8.cfg"
+    path.write_text("grid.L = 5\ngrid.n = 24\nmodel.t = 8\nsolver.k = 6\n")
+    index_out, modes_out = tmp_path / "index.json", tmp_path / "modes.json"
+    with pytest.warns(AmbiguousGapWarning, match="disagrees"):
+        assert main(["index", "--config", str(path), "--serial",
+                     "--out", str(index_out)]) == 1
+    with pytest.warns(AmbiguousGapWarning, match="disagrees"):
+        assert main(["zero-modes", "--config", str(path), "--serial",
+                     "--out", str(modes_out)]) == 1
+    index, modes = _read_report(index_out), _read_report(modes_out)
+    assert (index["results"]["delta"], index["results"]["winding"]) == (0, 1)
+    assert modes["results"]["count"] == 0
+    assert index["status"] == modes["status"] == "fail"
+
+
 def test_zero_modes_uses_the_index_census(fast_config, tmp_path):
     index_out, modes_out = tmp_path / "index.json", tmp_path / "modes.json"
     assert main(["index", "--config", fast_config, "--serial", "--out", str(index_out)]) == 0
@@ -235,6 +263,7 @@ def test_zero_modes_uses_the_index_census(fast_config, tmp_path):
     assert modes["count"] == index["n_minus"]
     assert modes["gap_threshold"] == index["gap_threshold"]
     assert modes["loc_radius"] == index["loc_radius"]
+    assert modes["loc_min"] == index["loc_min"] == 0.95
     assert ([m["localization_fraction"] for m in modes["modes"]]
             == index["localization_fractions"]["minus"])
 
@@ -328,7 +357,7 @@ def test_report_embeds_config_and_versions(fast_config, tmp_path):
     out = tmp_path / "report.json"
     main(["index", "--config", fast_config, "--serial", "--out", str(out)])
     report = _read_report(out)
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["package_version"] == "1.0.0"
     assert report["config"]["grid.n"] == 24
     assert "module_versions" not in report

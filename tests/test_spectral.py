@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import platform
 import re
@@ -586,14 +587,17 @@ def test_winding_mismatch_warns(monkeypatch):
     assert (report.delta, report.winding, report.winding_matches) == (1, 0, False)
 
 
-@pytest.mark.parametrize("bad", [dict(k=0), dict(loc_min=1.5),
-                                 dict(loc_min=0.0), dict(loc_min=-0.5)])
+@pytest.mark.parametrize("bad", [dict(k=0)])
 def test_index_params_refuse_what_the_config_refuses(bad):
-    # k = 0 went on to ARPACK's bare "k must be greater than 0", and
-    # loc_min = 1.5 counted no mode at all
+    # k = 0 went on to ARPACK's bare "k must be greater than 0"
     with pytest.raises(ValueError, match=next(iter(bad))):
         IndexParams(**bad)
-    IndexParams(k=1, loc_min=1.0)
+    IndexParams(k=1)
+
+
+def test_index_params_hold_only_the_solver_settings():
+    # the census calibrates from the data and has no setting
+    assert [f.name for f in dataclasses.fields(IndexParams)] == ["k", "seed"]
 
 
 def test_witten_index_json_schema_fields(desk_index):
