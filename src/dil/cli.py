@@ -134,6 +134,8 @@ def _read_flat_file(path: Path) -> dict[str, Any]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key in {raw!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {seen[key]}")
         seen[key] = lineno

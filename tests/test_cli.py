@@ -82,6 +82,14 @@ def test_a_key_set_twice_in_a_file_is_an_error(tmp_path, monkeypatch):
     assert load_config(str(path)).grid_n == 24
 
 
+def test_an_empty_key_in_a_file_is_an_error(tmp_path):
+    # it was reported as "unknown config keys: " with nothing after it
+    path = tmp_path / "empty.cfg"
+    path.write_text("grid.n = 24\n = 3\n")
+    with pytest.raises(ConfigError, match=r"empty\.cfg:2: empty key in ' = 3'"):
+        load_config(str(path))
+
+
 # one value per key that has a rule, breaking that rule
 RULE_BREAKERS = {
     "grid.L": 0, "grid.n": 4, "solver.k": 0, "sweep.c_values": [0, 1.0],
@@ -197,7 +205,9 @@ def test_solver_error_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(spectral_mod.spla, "eigsh", fake_eigsh)
     path = tmp_path / "iterative.cfg"
-    path.write_text("grid.n = 52\n")  # every grid size reaches the faked eigsh
+    # the perturbed partners are not Kronecker sums, so every grid size
+    # reaches the faked eigsh
+    path.write_text("grid.n = 52\nmodel.epsilon = 0.3\n")
     assert main(["index", "--config", str(path)]) == 3
     assert "solver error" in capsys.readouterr().err
 
@@ -298,6 +308,16 @@ def test_convergence_subcommand(tmp_path):
     report = _read_report(out)
     assert 1.7 <= report["results"]["order_second"] <= 2.3
     assert (tmp_path / "conv_convergence.csv").exists()
+
+
+def test_convergence_at_k4_keeps_every_copy_of_a_level(tmp_path, monkeypatch):
+    # at n = 49 the unperturbed H_minus has the exactly double level 1.96147
+    # at positions 4 and 5; a shift-invert solve for k = 4 cut it and failed
+    # the residual bound (exit 3), where the Kronecker-sum sectors are exact
+    monkeypatch.setenv("DIL_SOLVER_K", "4")
+    out = tmp_path / "conv.json"
+    assert main(["convergence", "--serial", "--out", str(out)]) == 0
+    assert 1.7 <= _read_report(out)["results"]["order_second"] <= 2.3
 
 
 def test_convergence_refuses_a_perturbed_model(tmp_path, capsys):

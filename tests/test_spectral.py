@@ -68,15 +68,18 @@ def test_low_spectrum_residuals_within_bound(desk_index):
         assert rep.eigenvalues == sorted(rep.eigenvalues)
 
 
-def test_low_spectrum_nonconvergence_raises(desk_set, desk_grid, monkeypatch):
+def test_low_spectrum_nonconvergence_raises(monkeypatch):
+    # the perturbed H_minus is not a Kronecker sum, so it reaches eigsh
     import dil.spectral as spectral_mod
+    grid = GridSpec(5.0, 24)
+    mat = build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat
 
     def fake_eigsh(*args, **kwargs):
         raise spectral_mod.spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
     monkeypatch.setattr(spectral_mod.spla, "eigsh", fake_eigsh)
     with pytest.raises(SolverError) as exc_info:
-        low_spectrum(desk_set.H_minus_mat, 4, grid=desk_grid)
+        low_spectrum(mat, 4, grid=grid)
     assert exc_info.value.converged == 0
 
 
@@ -112,7 +115,8 @@ _SMALL = GridSpec(5.0, 24)
 
 @pytest.mark.parametrize("op_set", [
     build_operator_set(ModelSpec(epsilon="0.3", f1_value=1), _SMALL),
-    operator_set_from_block(BlockOperator.from_rows([[D, Z], [ZBAR, DBAR]]), _SMALL),
+    # m = 2: the unit mass would make both partners Kronecker sums
+    operator_set_from_block(BlockOperator.from_rows([[D, Z * 2], [ZBAR, DBAR]]), _SMALL),
     # N = 2 on the n = 8 grid: H_minus has a double level at -0.6166, below
     # sigma, so the shifted matrix it factors without pivoting is indefinite
     operator_set_from_block(BlockOperator.from_rows(
@@ -139,15 +143,21 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 7
+    assert payload["schema_version"] == 8
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
         "residual_bound", "hermiticity_defect", "ordering", "lu_fill",
-        "n_solves", "arithmetic", "sector_offset", "sector_pairs"}
+        "n_solves", "arithmetic", "sector_offset", "sector_pairs", "kron_defect"}
     # the identity is [[I, 0], [0, I]]: two identical sectors (offset 0.0),
-    # solved once for ceil(3/2) pairs
+    # solved once for ceil(3/2) pairs, each the Kronecker sum 0 (x) I + I (x) I
     assert (payload["sector_offset"], payload["sector_pairs"]) == (0.0, [2])
     assert str(payload["sector_offset"]) == "0.0"  # not -0.0
+    assert (payload["kron_defect"], payload["ordering"], payload["lu_fill"],
+            payload["n_solves"], payload["arithmetic"]) == (0.0, None, 0, 0, "real")
+    # a matrix that is not a Kronecker sum records no defect
+    diagonal = sp.diags(np.arange(1.0, g.num_nodes + 1.0) ** 2, format="csr")
+    payload = low_spectrum(diagonal, 3, grid=g).to_json_dict()
+    assert (payload["kron_defect"], payload["ordering"]) == (None, "MMD_AT_PLUS_A")
 
 
 def _defect(upper, lower):
@@ -233,6 +243,90 @@ def test_swap_sectors_match_the_dense_spectrum(case, n):
             assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
 
 
+_KRON_CASES = {
+    "vortex-t1": lambda grid: build_operator_set(ModelSpec(), grid),
+    "vortex-t2": lambda grid: build_operator_set(ModelSpec(t=2), grid),
+    "anti-vortex-m1": _block_set(Z, ZBAR),
+}
+
+
+@pytest.mark.parametrize("name", ["H_minus_mat", "H_plus_mat"])
+@pytest.mark.parametrize("case", list(_KRON_CASES))
+@pytest.mark.parametrize("n", [24, 25])
+def test_kronecker_sum_sectors_match_the_dense_spectrum(n, case, name, monkeypatch):
+    # the swap sectors of the unit-mass partners are T_y (x) I + I (x) T_x:
+    # solved from the eigenpairs of T_x and T_y, with no factorization and
+    # no start vector, they give the dense spectrum within the residual
+    # bound, every copy of each double level mu_i + mu_j, and orthonormal
+    # vectors
+    grid = GridSpec(5.0, n)
+    mat = getattr(_KRON_CASES[case](grid), name)
+    exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    calls = _count_factorizations(monkeypatch)
+    rep = low_spectrum(mat, 8, grid=grid, matrix_id=name)
+    assert calls == []
+    assert (rep.ordering, rep.lu_fill, rep.n_solves, rep.arithmetic) == (None, 0, 0, "real")
+    assert 0.0 <= rep.kron_defect <= rep.residual_bound
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= rep.residual_bound
+    assert max(rep.residuals) <= rep.residual_bound
+
+    def copies(vals, lam):
+        return int(np.sum(np.abs(np.subtract(vals, lam)) <= 1e-8))
+
+    assert [copies(rep.eigenvalues, lam) for lam in exact] == \
+        [copies(exact, lam) for lam in exact]
+    assert max(copies(exact, lam) for lam in exact) >= 2
+    vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
+    assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
+    assert low_spectrum(mat, 8, grid=grid, seed=5).eigenvalues == rep.eigenvalues
+
+
+def _scalar_with_hop(hop):
+    """The vortex H_minus with a hop added to A (``_sectors``)."""
+    return lambda grid: _sectors(grid, hop=hop(grid))[0]
+
+
+_NO_KRON_CASES = {
+    # builder and what the Kronecker test of its sector gives: "untested"
+    # for a sector of two components, "no sum" for an off-diagonal entry
+    # that fails it, "over the bound" for a diagonal remainder above it
+    "vortex-c0.3": (lambda grid: build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat,
+                    "untested"),
+    "diagonal-hop": (_scalar_with_hop(lambda grid: grid.n + 1), "no sum"),
+    "one-row-x-hop": (_scalar_with_hop(lambda grid: 2), "no sum"),
+    "N=2-m1-H_plus": (lambda grid: _block_set(monomial(1, pow_zbar=2),
+                                              monomial(1, pow_z=2))(grid).H_plus_mat,
+                      "over the bound"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_KRON_CASES))
+def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
+    # a diagonal hop, an x-hop that grid row 0 lacks, or the |z|^4 diagonal
+    # of the N = 2 H_plus, whose remainder max|E| exceeds the residual bound,
+    # sends the sector to the factorization and Lanczos, as does a sector of
+    # two components, which is not tested at all
+    build, verdict = _NO_KRON_CASES[case]
+    grid = GridSpec(5.0, 24)
+    mat = build(grid)
+    tested, kron_sum = [], spectral._kron_sum
+    monkeypatch.setattr(spectral, "_kron_sum",
+                        lambda sector, grid: tested.append(kron_sum(sector, grid)) or tested[-1])
+    calls = _count_factorizations(monkeypatch)
+    rep = low_spectrum(mat, 8, grid=grid)
+    assert (rep.ordering, rep.kron_defect, rep.arithmetic, len(calls)) == \
+        ("MMD_AT_PLUS_A", None, "real", 1)
+    assert rep.lu_fill > 0 and rep.n_solves >= 8
+    exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+    if verdict == "untested":
+        assert tested == []
+    elif verdict == "no sum":
+        assert tested == [None]
+    else:
+        assert len(tested) == 1 and tested[0][2] > rep.residual_bound
+
+
 _SWAP_PROBE = """
 from dil import GridSpec, ModelSpec, build_operator_set, low_spectrum
 grid = GridSpec(5.0, 96)
@@ -255,14 +349,21 @@ def test_swap_split_keeps_every_copy_of_a_degenerate_level():
     assert int(out.stdout) == 4
 
 
-def _sectors(grid, coupling=1):
+def _sectors(grid, coupling=1, hop=0):
     """The vortex H_minus [[A, B], [B, A]] (B = -1 on the grid) with its
     coupling scaled, [[A, cB], [cB, A]], and the dense spectra of its
-    sectors A + cB, which is solved, and A - cB."""
+    sectors A + cB, which is solved, and A - cB.  A nonzero ``hop`` adds
+    0.25 to A between the centre node and the node ``hop`` after it: with
+    hop = n + 1, a hop along a grid diagonal, A + cB is no Kronecker sum
+    and takes Lanczos."""
     n2 = grid.num_nodes
     herm = build_operator_set(ModelSpec(), grid).H_minus_mat
     herm = ((herm + herm.getH()) * 0.5).tocsr()
     upper, b = herm[:n2, :n2], coupling * herm[:n2, n2:]
+    if hop:
+        a = grid.n // 2 * (grid.n + 1)
+        upper = (upper + sp.csr_matrix(([0.25, 0.25], ([a, a + hop], [a + hop, a])),
+                                       shape=(n2, n2))).tocsr()
     mat = sp.bmat([[upper, b], [b, upper]], format="csr")
     return mat, [np.linalg.eigvalsh((upper + sign * b).toarray().real) for sign in (1, -1)]
 
@@ -305,13 +406,14 @@ def test_count_refuses_a_factorization_it_cannot_trust(matrix, counted):
 ])
 def test_scalar_coupling_is_solved_once(monkeypatch, coupling, k, from_second):
     # [[A, beta], [beta, A]] has the sectors A + beta and A - beta, the first
-    # shifted by -2 beta: A + beta is factored and solved once for k pairs,
+    # shifted by -2 beta (A with a diagonal hop, so that no sector is a
+    # Kronecker sum): A + beta is factored and solved once for k pairs,
     # each pair also gives the antisymmetric vector of the second sector,
     # and the k lowest of both are the dense ones, orthonormal, with each
     # antisymmetric vector's eigenvalue from the second sector
     grid = GridSpec(5.0, 20)
     n2 = grid.num_nodes
-    mat, (first, second) = _sectors(grid, float(coupling))
+    mat, (first, second) = _sectors(grid, float(coupling), hop=grid.n + 1)
     beta = mat[0, n2].real
     exact = np.sort(np.concatenate((first, second)))[:k]
     calls = _count_factorizations(monkeypatch)
@@ -366,13 +468,15 @@ def test_pivot_free_fill_does_not_grow_with_the_mass():
 
 
 def test_unperturbed_h_minus_solves_one_sector(monkeypatch):
-    # the solve budget of the refinement study: at n = 49 and k = 3 the
-    # coupling is -t = -1, so A - 1 is factored and solved once, and A + 1
-    # is that sector shifted by +2
+    # the solve budget of the refinement study at n = 49 and k = 3, on the
+    # unperturbed H_minus with one diagonal hop in A, so that its sector
+    # takes Lanczos: the coupling is -t = -1, so A - 1 is factored and
+    # solved once, and A + 1 is that sector shifted by +2
     grid = GridSpec(5.0, 49)
-    exact = np.sort(np.concatenate(_sectors(grid)[1]))[:3]
+    mat, spectra = _sectors(grid, hop=grid.n + 1)
+    exact = np.sort(np.concatenate(spectra))[:3]
     calls = _count_factorizations(monkeypatch)
-    rep = low_spectrum(build_operator_set(ModelSpec(), grid).H_minus_mat, 3, grid=grid)
+    rep = low_spectrum(mat, 3, grid=grid)
     assert (rep.sector_pairs, rep.sector_offset, len(calls)) == ([3], 2.0, 1)
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
 
@@ -387,6 +491,10 @@ def resident_mb():
     with open("/proc/self/statm") as f:
         return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
+# a diagonal that is no sum of an x and a y part takes the sparse solve; a
+# first call loads what the solve touches, so the second one frees only heap
+mat = sp.diags(np.arange(1.0, 65.0) ** 2, format="csr")
+low_spectrum(mat, 2, grid=GridSpec(4.0, 8))
 # freeing the mapped 16 MB array raises glibc's mmap threshold to 16 MB, so
 # the 8 MB array comes from the heap and stays resident once freed
 big = np.ones(2**21)
@@ -394,7 +502,7 @@ del big
 mid = np.ones(2**20)
 del mid
 before = resident_mb()
-low_spectrum(sp.identity(64, format="csr"), 2, grid=GridSpec(4.0, 8))
+low_spectrum(mat, 2, grid=GridSpec(4.0, 8))
 print(before - resident_mb())
 """
 
