@@ -214,9 +214,10 @@ def discretize_expression(e: OperatorExpression, grid: GridSpec) -> sp.csr_matri
     out = sp.csr_matrix((n2, n2), dtype=complex)
     for t in e.terms:
         mat = _wirtinger_matrix(grid, t.pow_d, t.pow_dbar)
-        if t.pow_z or t.pow_zbar:
+        if t.pow_z or t.pow_zbar:  # each row times the multiplier at its node
             mult = zs ** t.pow_z * np.conj(zs) ** t.pow_zbar
-            mat = sp.diags(mult).tocsr() @ mat
+            mat = sp.csr_matrix((mat.data * np.repeat(mult, np.diff(mat.indptr)),
+                                 mat.indices, mat.indptr), shape=mat.shape)
         out = out + complex(t.coeff) * mat
     out = out.tocsr()
     out.sort_indices()

@@ -59,7 +59,11 @@ is a sum of an x part and a y part up to round-off.  ``low_spectrum``
 decides this from the data, and the spectrum of such a sector follows from
 two n x n eigenproblems (the fast-diagonalization method of Lynch, Rice &
 Thomas, Numer. Math. 6, 185 (1964)): the levels are the sums mu_i + nu_j,
-with vectors v_j (x) u_i, every copy of a degenerate level included.  No
+with vectors v_j (x) u_i, every copy of a degenerate level included.  Only
+the min(k, n) lowest levels of T_x and of T_y are computed, by LAPACK's
+selected band solver (?sbevx / ?hbevx; Anderson et al., LAPACK Users'
+Guide, 3rd ed. (1999)) at the bandwidth of their entries, 1 for every
+stencil built here: none of the k lowest sums needs a higher one.  No
 factorization and no Lanczos run is made.  Any other sector is solved as
 below.
 
@@ -159,21 +163,26 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
                  seed: int = 0) -> EigenReport:
     """k smallest eigenpairs of a Hermitian matrix on the grid.
 
-    The matrix is symmetrized as (A + A*)/2 and the relative defect is
-    recorded.  The spectrum of a sector that is a Kronecker sum on the grid
-    comes from two dense eigenproblems (below).  Any other comes from
-    shift-invert Lanczos (ARPACK's Arnoldi for the complex matrices that
-    have to stay complex, see below) at sigma = -0.5 with a seeded start
-    vector, which makes repeated runs reproducible at a fixed BLAS thread
-    count.  ARPACK runs to machine precision; a post-hoc check refuses any
-    residual above 1e-11 times the largest entry magnitude (at least 1).
-    Each eigenvalue is reported as the Rayleigh quotient of its returned
-    vector against the symmetrized matrix.
+    The matrix is first brought to canonical form (sorted indices, every
+    duplicate entry summed; on a copy, so the caller's matrix is left as it
+    is).  It is symmetrized as (A + A*)/2 and the defect max|A - A*| relative
+    to its largest summed entry is recorded; when A and A* share one pattern
+    both are taken entry by entry over their data arrays.  The spectrum of
+    a sector that is a Kronecker sum on the grid comes from two 1-D
+    eigenproblems (below).  Any other comes from shift-invert Lanczos
+    (ARPACK's Arnoldi for the complex matrices that have to stay complex,
+    see below) at sigma = -0.5 with a seeded start vector, which makes
+    repeated runs reproducible at a fixed BLAS thread count.  ARPACK runs to
+    machine precision; a post-hoc check refuses any residual above 1e-11
+    times the largest summed entry magnitude (at least 1).  Each eigenvalue
+    is reported as the Rayleigh quotient of its returned vector against the
+    symmetrized matrix, from one product of that matrix with all vectors.
 
     A two-component matrix [[A, B], [B*, C]] with A == C and B = beta I,
     beta real, entry by entry (every diagonal entry of B equal, none off it,
     no imaginary part), commutes with the swap of its spinor components
-    (module docstring).  Its sectors are A + beta and A - beta, the first
+    (module docstring); A, B and C are read from the row ranges of the
+    symmetrized matrix.  Its sectors are A + beta and A - beta, the first
     shifted by -2 beta, so only A + beta is solved: for k pairs, or for
     ceil(k/2) when beta = 0 and the two sectors are the same matrix.  Each
     pair (lambda, w) gives the candidates lambda with (w, w)/sqrt(2) and
@@ -188,20 +197,23 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     A sector on the scalar grid (A + beta, or a one-component matrix) is
     first tested for the Kronecker-sum form, from its entries alone (module
     docstring).  With node iy n + ix it passes when every off-diagonal entry
-    is an x-hop (same iy) or a y-hop (same ix), the x-hops are bitwise equal
-    across grid rows and the y-hops across grid columns, and the diagonal
-    remainder E[iy, ix] = d[iy, ix] - d[iy, 0] - d[0, ix] + d[0, 0] has
-    max|E| at most the residual bound.  By Weyl's inequality every
+    is an x-hop (same iy) or a y-hop (same ix), bitwise equal to its
+    counterpart in grid row 0 or grid column 0, every grid row holds every
+    x-hop of row 0 and every grid column every y-hop of column 0, and the
+    diagonal remainder E[iy, ix] = d[iy, ix] - d[iy, 0] - d[0, ix] + d[0, 0]
+    has max|E| at most the residual bound.  By Weyl's inequality every
     eigenvalue of the sector then lies within max|E| of one of the sums
     mu_i + nu_j of the eigenvalues of T_x (the iy = 0 block) and T_y (the
     ix = 0 block less d[0, 0]), so no copy of a degenerate level is lost,
-    and each vector v_j (x) u_i has a residual of at most max|E|.  Two
-    dense eigh calls and a stable argsort of the n^2 sums give the pairs;
-    the seed is not used.  The report records max|E| as ``kron_defect``,
-    with no ``ordering``, zero ``lu_fill`` and ``n_solves``, and
-    ``arithmetic`` "real" when the sector has no imaginary entry.  Every
-    other sector, one whose max|E| exceeds the bound included, is solved
-    as below, and its ``kron_defect`` is null.
+    and each vector v_j (x) u_i has a residual of at most max|E|.  The
+    min(k, n) lowest eigenpairs of T_x and of T_y, from LAPACK's selected
+    band solver at the bandwidth of their entries, and a stable argsort of
+    their sums give the pairs (``_kron_solve``); the seed is not used.  The
+    report records max|E| as ``kron_defect``, with no ``ordering``, zero
+    ``lu_fill`` and ``n_solves``, and ``arithmetic`` "real" when the sector
+    has no imaginary entry.  Every other sector, one whose max|E| exceeds
+    the bound included, is solved as below, and its ``kron_defect`` is
+    null.
 
     The sector minus sigma is factored once by ``_factor``: SuperLU without
     pivoting, in symmetric mode, with the minimum-degree ordering on the
@@ -238,22 +250,28 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     components = dim // n2
 
     a = a.tocsr()
-    a_dag = a.getH().tocsr()
+    if not a.has_canonical_format:  # summed on a copy: the caller's matrix stays
+        a = a.copy()
+        a.sum_duplicates()
+    adj = a.T.tocsr()
+    np.conjugate(adj.data, out=adj.data)
     scale = max(max_abs(a), 1e-300)
-    defect = max_abs(a - a_dag) / scale
-    herm = ((a + a_dag) * 0.5).tocsr()
-    del a_dag
+    if np.array_equal(a.indptr, adj.indptr) and np.array_equal(a.indices, adj.indices):
+        defect = max_abs(a.data - adj.data) / scale
+        adj.data += a.data
+        herm = adj
+    else:  # a one-sided entry: the union of both patterns
+        defect = max_abs(a - adj) / scale
+        herm = a + adj
+    herm.data *= 0.5
+    herm.eliminate_zeros()
+    del a, adj
 
     sector, offset = herm, None
     if components == 2:
-        upper, coupling = herm[:n2, :n2], herm[:n2, n2:]
-        diag = coupling.diagonal()
-        if ((upper != herm[n2:, n2:]).nnz == 0 and not diag.imag.any()
-                and (diag == diag[0]).all()
-                and (coupling != sp.diags(diag, format="csr")).nnz == 0):
-            sector = upper + coupling
-            offset = 0.0 - 2.0 * float(diag[0].real)  # 0.0, not -0.0, when beta = 0
-        del upper, coupling
+        swap = _swap_sector(herm, n2)
+        if swap is not None:
+            sector, offset = swap
 
     residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
     wanted = -(-k // 2) if offset == 0.0 else k
@@ -276,10 +294,11 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
         vecs = np.block([[vecs, vecs], [vecs, -vecs]]) * np.sqrt(0.5)
     vecs = vecs[:, np.argsort(vals, kind="stable")[:k]]
 
+    # one product for all columns, each column contiguous as a matvec gives it
+    hvecs = np.asfortranarray(herm @ vecs.astype(np.result_type(herm.dtype, vecs.dtype)))
     pairs = []
     for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        hv = herm @ v
+        v, hv = vecs[:, i], hvecs[:, i]
         nrm = np.linalg.norm(v)
         u = v.astype(hv.dtype, copy=False)  # one dot product kernel for both
         lam = float(np.vdot(u, hv).real / np.vdot(u, u).real)
@@ -304,44 +323,116 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
                        kron_defect=kron_defect)
 
 
+def _swap_sector(herm: sp.csr_matrix, n2: int) -> Optional[tuple[sp.csr_matrix, float]]:
+    """The sector A + beta and the offset -2 beta of a two-component
+    herm = [[A, B], [B*, C]] with C == A and B = beta I, beta real, entry by
+    entry, or None for any other coupling.
+
+    A, B and C are read from the row ranges of herm, whose indices ascend in
+    each row: in the first n2 rows the columns below n2 are A's and the
+    others B's, in the last n2 rows the columns from n2 on are C's.
+    """
+    indptr, indices, data = herm.indptr, herm.indices, herm.data
+    top = indptr[n2]
+    left, right = indices[:top] < n2, indices[top:] >= n2
+    a_ptr = _kept(indptr[:n2 + 1], left)
+    a_idx, a_dat = indices[:top][left], data[:top][left]
+    if not (np.array_equal(a_ptr, _kept(indptr[n2:] - top, right))
+            and np.array_equal(a_idx, indices[top:][right] - n2)
+            and np.array_equal(a_dat, data[top:][right])):
+        return None
+    b_dat = data[:top][~left]
+    beta = b_dat[0] if b_dat.size else 0.0
+    if b_dat.size and not (
+            (np.diff(indptr[:n2 + 1]) - np.diff(a_ptr) == 1).all()
+            and (indices[:top][~left] - n2 == np.arange(n2)).all()
+            and (b_dat == beta).all() and not b_dat.imag.any()):
+        return None
+    beta = float(beta.real)
+    sector = sp.csr_matrix((a_dat, a_idx, a_ptr), shape=(n2, n2))
+    if beta:
+        sector = sector + beta * sp.identity(n2, format="csr")
+    return sector, 0.0 - 2.0 * beta  # 0.0, not -0.0, when beta = 0
+
+
+def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row pointers of the entries ``keep`` marks in rows that start at
+    ``indptr`` (counted from the first of them)."""
+    return np.concatenate(([0], np.cumsum(keep, dtype=indptr.dtype)))[indptr]
+
+
 def _kron_sum(sector: sp.csr_matrix, grid: GridSpec
               ) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
     """T_y, T_x and max|E| of a scalar grid sector S = T_y (x) I + I (x) T_x
     + diag(E), or None when an off-diagonal entry of S is not an x-hop or a
-    y-hop equal to the one of grid row 0 or grid column 0.
+    y-hop equal to the one of grid row 0 or grid column 0, or a grid row or
+    column lacks one of those.
 
-    T_x is the block of grid row 0, T_y the block of grid column 0 less
-    d[0, 0], both dense and real when S has no imaginary entry.
+    Read from the index arrays of S (no explicit zeros): every entry's grid
+    row and column give its hop, looked up in T_x, the block of grid row 0,
+    or in T_y, the block of grid column 0; with every entry found there,
+    n times as many x-hops (y-hops) as grid row 0 (column 0) holds means
+    every grid row (column) holds all of them.  T_y is returned less
+    d[0, 0]; both are dense, and real when S has no imaginary entry.
     """
     n = grid.n
-    if not sector.data.imag.any():
-        sector = sector.real
-    tx, ty = sector[:n, :n], sector[::n, ::n]
-    eye = sp.identity(n, dtype=sector.dtype, format="csr")
-    hops = (sp.kron(_off_diagonal(ty), eye, format="csr")
-            + sp.kron(eye, _off_diagonal(tx), format="csr"))
-    if (_off_diagonal(sector) != hops).nnz:
+    rows = np.repeat(np.arange(n * n, dtype=sector.indices.dtype), np.diff(sector.indptr))
+    data = sector.data if sector.data.imag.any() else sector.data.real
+    ry, rx = np.divmod(rows, n)
+    cy, cx = np.divmod(sector.indices, n)
+    x_hop, y_hop = ry == cy, rx == cx
+    if not (x_hop | y_hop).all():
         return None
-    d = sector.diagonal().real.reshape(n, n)
+    on_diag = x_hop & y_hop
+    x_hop ^= on_diag
+    y_hop ^= on_diag
+    in_tx, in_ty = (ry == 0) & (cy == 0), (rx == 0) & (cx == 0)
+    tx, ty = np.zeros((n, n), dtype=data.dtype), np.zeros((n, n), dtype=data.dtype)
+    tx[rx[in_tx], cx[in_tx]] = data[in_tx]
+    ty[ry[in_ty], cy[in_ty]] = data[in_ty]
+    if (np.count_nonzero(x_hop) != n * np.count_nonzero(x_hop & in_tx)
+            or np.count_nonzero(y_hop) != n * np.count_nonzero(y_hop & in_ty)
+            or (data[x_hop] != np.take(tx, (rx * n + cx)[x_hop])).any()
+            or (data[y_hop] != np.take(ty, (ry * n + cy)[y_hop])).any()):
+        return None
+    d = np.zeros(n * n)
+    d[rows[on_diag]] = data[on_diag].real
+    d = d.reshape(n, n)
     defect = float(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0]).max())
-    return ty.toarray() - d[0, 0] * np.eye(n), tx.toarray(), defect
-
-
-def _off_diagonal(mat: sp.csr_matrix) -> sp.csr_matrix:
-    return (mat - sp.diags(mat.diagonal(), format="csr")).tocsr()
+    return ty - d[0, 0] * np.eye(n), tx, defect
 
 
 def _kron_solve(ty: np.ndarray, tx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenpairs of T_y (x) I + I (x) T_x from the eigenpairs
-    (nu_j, v_j) of T_y and (mu_i, u_i) of T_x: the sums nu_j + mu_i in a
-    stable order, with the vectors v_j (x) u_i as columns.  SciPy's eigh
-    runs in the OpenBLAS that ARPACK already uses; numpy's runs in numpy's
-    own copy, whose pages held 0.8 MB more resident."""
-    nu, v = sla.eigh(ty)
-    mu, u = sla.eigh(tx)
+    """k lowest eigenpairs of T_y (x) I + I (x) T_x from the min(k, n)
+    lowest eigenpairs (nu_j, v_j) of T_y and (mu_i, u_i) of T_x: the sums
+    nu_j + mu_i in a stable order, with the vectors v_j (x) u_i as columns.
+
+    That is enough, as no sum among the k lowest has i >= k or j >= k: for
+    i >= k the k sums nu_j + mu_0, ..., nu_j + mu_(k-1) are each at most
+    nu_j + mu_i and precede it in the stable order of (j, i), and the same
+    holds for j.  So the pairs kept are those the full n x n spectra give,
+    ties included.
+    """
+    nu, v = _lowest_levels(ty, k)
+    mu, u = _lowest_levels(tx, k)
     order = np.argsort((nu[:, None] + mu[None, :]).ravel(), kind="stable")[:k]
     j, i = np.divmod(order, mu.size)
     return nu[j] + mu[i], (v[:, j][:, None, :] * u[:, i][None, :, :]).reshape(-1, order.size)
+
+
+def _lowest_levels(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The min(k, n) lowest eigenpairs of a Hermitian n x n matrix, in
+    ascending order, by LAPACK's selected band solver (?sbevx, ?hbevx) at
+    the bandwidth of its entries: bisection and inverse iteration for the
+    selected levels only.  At n = 193 and bandwidth 1, three levels take
+    about a tenth of the time of a dense eigh."""
+    n = t.shape[0]
+    i, j = np.nonzero(t)
+    width = int(np.max(j - i, initial=0))
+    band = np.zeros((width + 1, n), dtype=t.dtype)
+    for d in range(width + 1):  # the upper band, one diagonal per row
+        band[width - d, d:] = t.diagonal(d)
+    return sla.eig_banded(band, select="i", select_range=(0, min(k, n) - 1))
 
 
 def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: int,

@@ -160,6 +160,24 @@ def test_eigen_report_payload_version_and_keys():
     assert (payload["kron_defect"], payload["ordering"]) == (None, "MMD_AT_PLUS_A")
 
 
+def test_residual_bound_is_taken_from_the_summed_entries():
+    # diag(1..64) with each entry stored twice, as 1e6 and d - 1e6: the bound
+    # and the defect are those of the summed matrix (a bound from the stored
+    # 1e6 would be 15 600 times looser), and the caller's matrix keeps its
+    # duplicates
+    g = GridSpec(4.0, 8)
+    d = np.arange(1.0, g.num_nodes + 1.0)
+    stored = np.column_stack((np.full(d.size, 1e6), d - 1e6)).ravel()
+    twice = sp.csr_matrix((stored, np.repeat(np.arange(d.size), 2),
+                           np.arange(0, 2 * d.size + 1, 2)), shape=(d.size, d.size))
+    rep = low_spectrum(twice, 3, grid=g)
+    assert rep.residual_bound == low_spectrum(sp.diags(d, format="csr"), 3,
+                                              grid=g).residual_bound \
+        == pytest.approx(6.4e-10, rel=1e-12)
+    assert (rep.eigenvalues, rep.hermiticity_defect) == ([1.0, 2.0, 3.0], 0.0)
+    assert twice.nnz == 2 * d.size and np.array_equal(twice.data, stored)
+
+
 def _defect(upper, lower):
     """[[d, upper], [lower, db]]: lower z^N (N > 0) or zb^|N| sets the winding."""
     return BlockOperator.from_rows([[D, upper], [lower, DBAR]])
@@ -243,10 +261,51 @@ def test_swap_sectors_match_the_dense_spectrum(case, n):
             assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
 
 
+@dataclasses.dataclass
+class _KronPartners:
+    """S = conj(T) (x) I + I (x) T on the grid for one 1-D Hermitian T, as
+    one component (``H_minus_mat``) and swap-coupled as [[S, I/2], [I/2, S]]
+    (``H_plus_mat``)."""
+
+    grid: GridSpec
+    H_minus_mat: sp.csr_matrix
+    H_plus_mat: sp.csr_matrix
+
+    @classmethod
+    def of(cls, grid, centre, hops):
+        # T = centre + x^2 - sum_d hops[d] (shift by d + 1) + its adjoint
+        n = grid.n
+        diags = [np.full(n - d - 1, -c, dtype=complex) for d, c in enumerate(hops)]
+        t = sp.diags(diags + [np.conj(c) for c in diags] + [centre + grid.axis() ** 2 + 0j],
+                     [d + 1 for d in range(len(hops))]
+                     + [-d - 1 for d in range(len(hops))] + [0])
+        eye = sp.identity(n, format="csr")
+        s = (sp.kron(t.conj(), eye) + sp.kron(eye, t)).tocsr()
+        half = sp.identity(n * n, format="csr") * 0.5
+        return cls(grid, s, sp.bmat([[s, half], [half, s]], format="csr"))
+
+
+def _fourth_order(grid):
+    """A bandwidth-2 T: the five-point stencil of d^4/dx^4, times 1/16."""
+    h4 = 16.0 * grid.h ** 4
+    return _KronPartners.of(grid, 6.0 / h4, [4.0 / h4, -1.0 / h4])
+
+
+def _complex_hops(grid):
+    """A complex Hermitian T: -d^2/dx^2 / 4 with a phase on each hop."""
+    h2 = 4.0 * grid.h ** 2
+    return _KronPartners.of(grid, 2.0 / h2, [np.exp(0.7j) / h2])
+
+
 _KRON_CASES = {
-    "vortex-t1": lambda grid: build_operator_set(ModelSpec(), grid),
-    "vortex-t2": lambda grid: build_operator_set(ModelSpec(t=2), grid),
-    "anti-vortex-m1": _block_set(Z, ZBAR),
+    # builder of the partners on the n-node grid, and k
+    "vortex-t1": (lambda n: build_operator_set(ModelSpec(), GridSpec(5.0, n)), 8),
+    "vortex-t2": (lambda n: build_operator_set(ModelSpec(t=2), GridSpec(5.0, n)), 8),
+    "anti-vortex-m1": (lambda n: _block_set(Z, ZBAR)(GridSpec(5.0, n)), 8),
+    "bandwidth-2": (lambda n: _fourth_order(GridSpec(5.0, n)), 8),
+    "complex-hops": (lambda n: _complex_hops(GridSpec(5.0, n)), 8),
+    # n = 8 and 9 nodes per side, fewer than k: every 1-D level is solved
+    "k>n": (lambda n: build_operator_set(ModelSpec(), GridSpec(5.0, n - 16)), 12),
 }
 
 
@@ -258,14 +317,18 @@ def test_kronecker_sum_sectors_match_the_dense_spectrum(n, case, name, monkeypat
     # solved from the eigenpairs of T_x and T_y, with no factorization and
     # no start vector, they give the dense spectrum within the residual
     # bound, every copy of each double level mu_i + mu_j, and orthonormal
-    # vectors
-    grid = GridSpec(5.0, n)
-    mat = getattr(_KRON_CASES[case](grid), name)
-    exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    # vectors; so do 1-D blocks of bandwidth 2 or with complex hops, and a
+    # k above the n levels each 1-D block has
+    build, k = _KRON_CASES[case]
+    op_set = build(n)
+    grid, mat = op_set.grid, getattr(op_set, name)
+    herm = (mat + mat.getH()) * 0.5
+    exact = np.linalg.eigvalsh(herm.toarray())[:k]
     calls = _count_factorizations(monkeypatch)
-    rep = low_spectrum(mat, 8, grid=grid, matrix_id=name)
+    rep = low_spectrum(mat, k, grid=grid, matrix_id=name)
+    arithmetic = "complex" if herm.data.imag.any() else "real"
     assert calls == []
-    assert (rep.ordering, rep.lu_fill, rep.n_solves, rep.arithmetic) == (None, 0, 0, "real")
+    assert (rep.ordering, rep.lu_fill, rep.n_solves, rep.arithmetic) == (None, 0, 0, arithmetic)
     assert 0.0 <= rep.kron_defect <= rep.residual_bound
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= rep.residual_bound
     assert max(rep.residuals) <= rep.residual_bound
@@ -277,13 +340,13 @@ def test_kronecker_sum_sectors_match_the_dense_spectrum(n, case, name, monkeypat
         [copies(exact, lam) for lam in exact]
     assert max(copies(exact, lam) for lam in exact) >= 2
     vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
-    assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
-    assert low_spectrum(mat, 8, grid=grid, seed=5).eigenvalues == rep.eigenvalues
+    assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(k))) <= 1e-9
+    assert low_spectrum(mat, k, grid=grid, seed=5).eigenvalues == rep.eigenvalues
 
 
-def _scalar_with_hop(hop):
-    """The vortex H_minus with a hop added to A (``_sectors``)."""
-    return lambda grid: _sectors(grid, hop=hop(grid))[0]
+def _scalar_with_hop(hop, **how):
+    """The vortex H_minus with a hop added to A, or cut from it (``_sectors``)."""
+    return lambda grid: _sectors(grid, hop=hop(grid), **how)[0]
 
 
 _NO_KRON_CASES = {
@@ -294,6 +357,10 @@ _NO_KRON_CASES = {
                     "untested"),
     "diagonal-hop": (_scalar_with_hop(lambda grid: grid.n + 1), "no sum"),
     "one-row-x-hop": (_scalar_with_hop(lambda grid: 2), "no sum"),
+    # the centre grid row lacks an x-hop that grid row 0 has
+    "cut-x-hop": (_scalar_with_hop(lambda grid: 1, cut=True), "no sum"),
+    # stored on one side only: A and A* have two patterns
+    "one-sided-hop": (_scalar_with_hop(lambda grid: grid.n + 1, one_sided=True), "no sum"),
     "N=2-m1-H_plus": (lambda grid: _block_set(monomial(1, pow_zbar=2),
                                               monomial(1, pow_z=2))(grid).H_plus_mat,
                       "over the bound"),
@@ -302,13 +369,16 @@ _NO_KRON_CASES = {
 
 @pytest.mark.parametrize("case", list(_NO_KRON_CASES))
 def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
-    # a diagonal hop, an x-hop that grid row 0 lacks, or the |z|^4 diagonal
-    # of the N = 2 H_plus, whose remainder max|E| exceeds the residual bound,
-    # sends the sector to the factorization and Lanczos, as does a sector of
-    # two components, which is not tested at all
+    # a diagonal hop (stored on both sides or on one), an x-hop that grid
+    # row 0 lacks, a grid row that lacks an x-hop of row 0, or the |z|^4
+    # diagonal of the N = 2 H_plus, whose remainder max|E| exceeds the
+    # residual bound, sends the sector to the factorization and Lanczos, as
+    # does a sector of two components, which is not tested at all; the
+    # hermiticity defect is max|A - A*| over the largest entry
     build, verdict = _NO_KRON_CASES[case]
     grid = GridSpec(5.0, 24)
     mat = build(grid)
+    defect = spectral.max_abs(mat - mat.getH()) / spectral.max_abs(mat)
     tested, kron_sum = [], spectral._kron_sum
     monkeypatch.setattr(spectral, "_kron_sum",
                         lambda sector, grid: tested.append(kron_sum(sector, grid)) or tested[-1])
@@ -317,6 +387,9 @@ def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
     assert (rep.ordering, rep.kron_defect, rep.arithmetic, len(calls)) == \
         ("MMD_AT_PLUS_A", None, "real", 1)
     assert rep.lu_fill > 0 and rep.n_solves >= 8
+    assert rep.hermiticity_defect == defect
+    if case == "one-sided-hop":
+        assert defect == 0.25 / spectral.max_abs(mat)
     exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
     if verdict == "untested":
@@ -349,22 +422,27 @@ def test_swap_split_keeps_every_copy_of_a_degenerate_level():
     assert int(out.stdout) == 4
 
 
-def _sectors(grid, coupling=1, hop=0):
+def _sectors(grid, coupling=1, hop=0, one_sided=False, cut=False):
     """The vortex H_minus [[A, B], [B, A]] (B = -1 on the grid) with its
     coupling scaled, [[A, cB], [cB, A]], and the dense spectra of its
     sectors A + cB, which is solved, and A - cB.  A nonzero ``hop`` adds
     0.25 to A between the centre node and the node ``hop`` after it: with
     hop = n + 1, a hop along a grid diagonal, A + cB is no Kronecker sum
-    and takes Lanczos."""
+    and takes Lanczos.  ``one_sided`` stores it from the centre node only;
+    the spectra are those of the symmetrized sectors.  ``cut`` removes the
+    hop A holds there instead."""
     n2 = grid.num_nodes
     herm = build_operator_set(ModelSpec(), grid).H_minus_mat
     herm = ((herm + herm.getH()) * 0.5).tocsr()
     upper, b = herm[:n2, :n2], coupling * herm[:n2, n2:]
     if hop:
         a = grid.n // 2 * (grid.n + 1)
-        upper = (upper + sp.csr_matrix(([0.25, 0.25], ([a, a + hop], [a + hop, a])),
+        ends = [a, a + hop][:1 if one_sided else 2]
+        weight = -upper[a, a + hop] if cut else 0.25
+        upper = (upper + sp.csr_matrix(([weight] * len(ends), (ends, [a + hop, a][:len(ends)])),
                                        shape=(n2, n2))).tocsr()
     mat = sp.bmat([[upper, b], [b, upper]], format="csr")
+    upper = (upper + upper.getH()) * 0.5
     return mat, [np.linalg.eigvalsh((upper + sign * b).toarray().real) for sign in (1, -1)]
 
 
