@@ -16,9 +16,14 @@ the closed forms of the partner Hamiltonians or the involutivity of the
 formal adjoint are decided by equality instead of by a floating tolerance.
 
 A coefficient is three ints: a Gaussian-integer numerator a + b*i over one
-denominator d > 0 with gcd(a, b, d) = 1 (Knuth, TAOCP vol. 2, 4.5.1), so
-arithmetic stays on ints with one gcd per result.  Terms that the calculus
-builds skip the power check of the public ``OperatorTerm`` constructor.
+denominator d > 0 with gcd(a, b, d) = 1 (Knuth, TAOCP vol. 2, 4.5.1).  Every
+product (``compose``, ``*``, ``adjoint`` and ``normal_order``) runs through one
+kernel, ``_products``: each factor is brought once to Gaussian-integer
+numerators over the lcm of its denominators, every contraction of every
+(left, right) pair of a result entry is added as plain ints over one common
+denominator, and each surviving signature is reduced at the end, so there is
+one gcd per signature of each product entry.  Terms that the calculus builds
+skip the power check of the public ``OperatorTerm`` constructor.
 
 The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
@@ -231,9 +236,7 @@ class OperatorExpression:
 
     def __mul__(self, other):
         if isinstance(other, OperatorExpression):
-            return OperatorExpression.from_terms(
-                t for a in self.terms for b in other.terms
-                for t in normal_order(a, b))
+            return _products(((_integers(self.terms), _integers(other.terms)),))
         try:
             return self.scale(other)
         except TypeError:
@@ -263,23 +266,63 @@ DBAR = monomial(1, pow_dbar=1)
 def normal_order(left: OperatorTerm, right: OperatorTerm) -> list[OperatorTerm]:
     """Normal-ordered terms of the operator product ``left @ right``.
 
-    Uses d^m z^n = sum_k k! C(m,k) C(n,k) z^(n-k) d^(m-k) in each Wirtinger
-    sector; the (z, d) and (zb, db) sectors commute with each other.  Each
-    signature appears once; callers canonicalize a whole result with ``from_terms``.
+    One call of the product kernel on the pair: the terms come back
+    canonical, sorted by signature with one term per signature and no zero
+    coefficient.
     """
-    base = left.coeff * right.coeff
-    pz, pzb = left.pow_z + right.pow_z, left.pow_zbar + right.pow_zbar
-    pd, pdb = left.pow_d + right.pow_d, left.pow_dbar + right.pow_dbar
-    return [_term(base * (ck * cl), pz - k, pzb - l, pd - k, pdb - l)
-            for k, ck in _contractions(left.pow_d, right.pow_z)
-            for l, cl in _contractions(left.pow_dbar, right.pow_zbar)]
+    return list(_products(((_integers((left,)), _integers((right,))),)).terms)
+
+
+# an expression as Gaussian-integer rows (a, b, pow_z, pow_zbar, pow_d, pow_dbar)
+# over one denominator: each term is (a + b*i)/den * z^.. zb^.. d^.. db^..
+IntegerForm = tuple[int, list[tuple[int, int, int, int, int, int]]]
+
+
+def _integers(terms: Sequence[OperatorTerm]) -> IntegerForm:
+    """Terms as Gaussian-integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(t.coeff._d for t in terms))
+    return den, [(t.coeff._a * (den // t.coeff._d), t.coeff._b * (den // t.coeff._d),
+                  t.pow_z, t.pow_zbar, t.pow_d, t.pow_dbar) for t in terms]
+
+
+def _products(pairs: Iterable[tuple[IntegerForm, IntegerForm]]) -> OperatorExpression:
+    """Canonical sum of the normal-ordered products ``left @ right`` over ``pairs``.
+
+    Uses d^m z^n = sum_k k! C(m,k) C(n,k) z^(n-k) d^(m-k) in each Wirtinger
+    sector; the (z, d) and (zb, db) sectors commute with each other.  All
+    contractions of all pairs are added as ints over one common denominator,
+    and each signature is reduced once, in sorted order.
+    """
+    pairs = [(left, right) for left, right in pairs if left[1] and right[1]]
+    den = math.lcm(*(left[0] * right[0] for left, right in pairs))
+    acc: dict[tuple[int, int, int, int], list[int]] = {}
+    for (dl, left), (dr, right) in pairs:
+        s = den // (dl * dr)
+        for a, b, pz, pzb, pd, pdb in left:
+            a, b = a * s, b * s
+            for c, e, qz, qzb, qd, qdb in right:
+                re, im = a * c - b * e, a * e + b * c
+                z, zb, d, db = pz + qz, pzb + qzb, pd + qd, pdb + qdb
+                for k, l, m in _contractions(pd, qz, pdb, qzb):
+                    key = (z - k, zb - l, d - k, db - l)
+                    v = acc.get(key)
+                    if v is None:
+                        acc[key] = [re * m, im * m]
+                    else:
+                        v[0] += re * m
+                        v[1] += im * m
+    return OperatorExpression(tuple(
+        _term(_reduced(a, b, den), *sig) for sig, (a, b) in sorted(acc.items()) if a or b))
 
 
 @functools.lru_cache(maxsize=4096)
-def _contractions(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    # (k, k! C(m,k) C(n,k)) for every number k of contracted (d, z) pairs
-    return tuple((k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
-                 for k in range(min(m, n) + 1))
+def _contractions(m: int, n: int, p: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    # (k, l, k! C(m,k) C(n,k) * l! C(p,l) C(q,l)) for every number k of
+    # contracted (d, z) pairs and l of contracted (db, zb) pairs
+    def sector(m, n):
+        return [(k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
+                for k in range(min(m, n) + 1)]
+    return tuple((k, l, ck * cl) for k, ck in sector(m, n) for l, cl in sector(p, q))
 
 
 @dataclass(frozen=True)
@@ -330,30 +373,30 @@ def compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
     """Block matrix product with every scalar product normal-ordered."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    left = [_integers(e.terms) for e in a.entries]
+    right = [_integers(e.terms) for e in b.entries]
     return BlockOperator(a.rows, b.cols, tuple(
-        OperatorExpression.from_terms(
-            t for k in range(a.cols)
-            for x in a.entry(i, k).terms for y in b.entry(k, j).terms
-            for t in normal_order(x, y))
+        _products((left[i * a.cols + k], right[k * b.cols + j]) for k in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)))
 
 
 def adjoint(a):
     """Formal L2 adjoint of an expression or a block operator, normal-ordered.
 
-    (c z^a zb^b d^p db^q)+  =  conj(c) (-db)^p (-d)^q zb^a z^b, reversed and
-    reduced back to normal order term by term; a block is conjugate-transposed.
+    (c z^a zb^b d^p db^q)+  =  conj(c) (-db)^p (-d)^q zb^a z^b: each term is one
+    (derivative, multiplication) pair of the product kernel, so an expression
+    is normal-ordered in one kernel call; a block is conjugate-transposed.
     """
     if isinstance(a, BlockOperator):
         return BlockOperator(a.cols, a.rows, tuple(
             adjoint(a.entry(i, j)) for j in range(a.cols) for i in range(a.rows)))
     if not isinstance(a, OperatorExpression):
         raise TypeError(f"adjoint expects an expression or block operator, got {type(a)!r}")
-    return OperatorExpression.from_terms(
-        t for u in a.terms for t in normal_order(
-            _term(u.coeff.conjugate() * (-1) ** (u.pow_d + u.pow_dbar),
-                  0, 0, u.pow_dbar, u.pow_d),
-            _term(C_ONE, u.pow_zbar, u.pow_z, 0, 0)))
+    den, rows = _integers(a.terms)
+    return _products(
+        ((den, [(x * (-1) ** (d + db), -y * (-1) ** (d + db), 0, 0, db, d)]),
+         (1, [(1, 0, zb, z, 0, 0)]))
+        for x, y, z, zb, d, db in rows)
 
 
 # ---------------------------------------------------------------------------

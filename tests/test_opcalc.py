@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dil import opcalc
 from dil import (BlockOperator, GridSpec, ModelSpec, ShapeError, adjoint,
                  block_gaussian_apply, compose, crat, gaussian,
                  gaussian_apply, gaussian_inner, monomial, normal_order,
@@ -111,24 +112,147 @@ def test_canonicalization_is_idempotent():
 
 
 def test_one_canonicalization_per_product(monkeypatch):
-    # every result entry is canonicalized once, from all of its raw terms
+    # every result entry is one call of the product kernel, which reduces
+    # each signature once; no product goes through from_terms
     rng = random.Random(3)
     a, b = random_block(rng), random_block(rng)
-    calls = []
-    canonical = OperatorExpression.from_terms
+    kernel_calls, from_terms_calls = [], []
+    kernel, canonical = opcalc._products, OperatorExpression.from_terms
 
-    def counted(terms):
-        calls.append(1)
+    def counted_kernel(pairs):
+        kernel_calls.append(1)
+        return kernel(pairs)
+
+    def counted_from_terms(terms):
+        from_terms_calls.append(1)
         return canonical(terms)
 
-    monkeypatch.setattr(OperatorExpression, "from_terms", staticmethod(counted))
+    monkeypatch.setattr(opcalc, "_products", counted_kernel)
+    monkeypatch.setattr(OperatorExpression, "from_terms", staticmethod(counted_from_terms))
     counts = []
     for product in (lambda: compose(a, b), lambda: adjoint(a),
                     lambda: a.entry(0, 0) * b.entry(0, 0)):
-        calls.clear()
+        kernel_calls.clear()
         product()
-        counts.append(len(calls))
+        counts.append(len(kernel_calls))
     assert counts == [4, 4, 1]
+    assert not from_terms_calls
+
+
+# --------------------------------------------------------------------------
+# term-by-term reference for the product kernel: each raw term of each pair
+# is built with ComplexRational arithmetic, then the sum is canonicalized
+# --------------------------------------------------------------------------
+
+def _reference_contractions(m: int, n: int) -> list[tuple[int, int]]:
+    return [(k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
+            for k in range(min(m, n) + 1)]
+
+
+def _reference_normal_order(left: OperatorTerm, right: OperatorTerm) -> list[OperatorTerm]:
+    base = left.coeff * right.coeff
+    pz, pzb = left.pow_z + right.pow_z, left.pow_zbar + right.pow_zbar
+    pd, pdb = left.pow_d + right.pow_d, left.pow_dbar + right.pow_dbar
+    return [OperatorTerm(base * (ck * cl), pz - k, pzb - l, pd - k, pdb - l)
+            for k, ck in _reference_contractions(left.pow_d, right.pow_z)
+            for l, cl in _reference_contractions(left.pow_dbar, right.pow_zbar)]
+
+
+def _reference_product(x: OperatorExpression, y: OperatorExpression) -> OperatorExpression:
+    return OperatorExpression.from_terms(
+        t for u in x.terms for v in y.terms for t in _reference_normal_order(u, v))
+
+
+def _reference_compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
+    return BlockOperator(a.rows, b.cols, tuple(
+        OperatorExpression.from_terms(
+            t for k in range(a.cols)
+            for u in a.entry(i, k).terms for v in b.entry(k, j).terms
+            for t in _reference_normal_order(u, v))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+def _reference_adjoint(a: BlockOperator) -> BlockOperator:
+    def entry(e: OperatorExpression) -> OperatorExpression:
+        return OperatorExpression.from_terms(
+            t for u in e.terms for t in _reference_normal_order(
+                OperatorTerm(u.coeff.conjugate() * (-1) ** (u.pow_d + u.pow_dbar),
+                             0, 0, u.pow_dbar, u.pow_d),
+                OperatorTerm(crat(1), u.pow_zbar, u.pow_z, 0, 0)))
+    return BlockOperator(a.cols, a.rows, tuple(
+        entry(a.entry(i, j)) for j in range(a.cols) for i in range(a.rows)))
+
+
+def _reference_entry(rng: random.Random) -> OperatorExpression:
+    """ZERO, a quarter-and-ninth pair, or up to four terms with powers up to 3."""
+    powers = lambda: [rng.randint(0, 3) for _ in range(4)]  # noqa: E731
+    draw = rng.random()
+    if draw < 0.15:
+        return ZERO
+    if draw < 0.35:
+        return (monomial(crat(Fraction(rng.choice((-3, -1, 1, 3)), 4)), *powers())
+                + monomial(crat(0, Fraction(rng.choice((-2, -1, 1, 2)), 9)), *powers()))
+    return OperatorExpression.from_terms(
+        OperatorTerm(crat(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6, 9))),
+                          Fraction(rng.randint(-5, 5), rng.choice((1, 2, 4, 9)))),
+                     *powers())
+        for _ in range(rng.randint(1, 4)))
+
+
+def _reference_block(rng: random.Random) -> BlockOperator:
+    if rng.random() < 0.1:
+        return BlockOperator.identity(2)
+    return BlockOperator.from_rows([[_reference_entry(rng) for _ in range(2)] for _ in range(2)])
+
+
+def _assert_same(got, expected):
+    assert got == expected
+    if isinstance(got, BlockOperator):
+        assert render_block(got) == render_block(expected)
+    else:
+        assert render_expression(got) == render_expression(expected)
+
+
+def test_product_kernel_matches_term_by_term_reference_on_edge_cases():
+    half = monomial(Fraction(1, 2))
+    # z d - z d cancels to ZERO; 1/2 + 1/2 reduces to 1; d z - z d is 1
+    a = BlockOperator.from_rows([[Z, Z], [half, half]])
+    b = BlockOperator.from_rows([[D, ONE], [-1 * D, ONE]])
+    assert compose(a, b).entry(0, 0) == ZERO
+    assert compose(a, b).entry(1, 1) == ONE
+    commutator = compose(BlockOperator.from_rows([[D, Z]]),
+                         BlockOperator.from_rows([[Z], [-1 * D]]))
+    assert commutator.entry(0, 0) == ONE
+    quarter_ninth = monomial(Fraction(1, 4), pow_z=3) + monomial(crat(0, Fraction(1, 9)), 0, 3, 3, 1)
+    c = BlockOperator.from_rows([[quarter_ninth, ZERO], [ZERO, quarter_ninth]])
+    eye = BlockOperator.identity(2)
+    for x, y in ((a, b), (b, a), (eye, c), (c, eye), (c, c), (eye, eye),
+                 (BlockOperator.from_rows([[D, Z]]), BlockOperator.from_rows([[Z], [-1 * D]]))):
+        _assert_same(compose(x, y), _reference_compose(x, y))
+        _assert_same(adjoint(x), _reference_adjoint(x))
+    for x in (ZERO, ONE, half + half, quarter_ninth, D - D):
+        for y in (ZERO, ONE, quarter_ninth, Z + ZBAR):
+            _assert_same(x * y, _reference_product(x, y))
+
+
+def test_product_kernel_matches_term_by_term_reference_on_random_blocks():
+    rng = random.Random(47)
+    kinds = {"zero": 0, "identity": 0, "quarter_ninth": 0, "power_3": 0}
+    for _ in range(120):
+        a, b = _reference_block(rng), _reference_block(rng)
+        _assert_same(compose(a, b), _reference_compose(a, b))
+        _assert_same(adjoint(a), _reference_adjoint(a))
+        i, j, k, m = (rng.randint(0, 1) for _ in range(4))
+        _assert_same(a.entry(i, j) * b.entry(k, m), _reference_product(a.entry(i, j), b.entry(k, m)))
+        for block in (a, b):
+            kinds["identity"] += block == BlockOperator.identity(2)
+            for e in block.entries:
+                kinds["zero"] += e.is_zero
+                denominators = {t.coeff.re.denominator for t in e.terms} | {
+                    t.coeff.im.denominator for t in e.terms}
+                kinds["quarter_ninth"] += {4, 9} <= denominators
+                kinds["power_3"] += any(3 in t.signature for t in e.terms)
+    assert all(kinds.values()), kinds
 
 
 def test_canonical_form_merges_and_drops_zeros():
