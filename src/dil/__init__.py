@@ -29,8 +29,8 @@ from .susy import (DefectOperatorSet, GradedOperator, GradedVector,  # noqa: E40
                    compact_perturbation, graded_apply,
                    operator_set_from_block, parity_classify,
                    physical_state_embed, project)
-from .spectral import (AmbiguousGapWarning, EigenReport, IndexParams,  # noqa: E402
-                       PairingReport, WittenIndexReport, low_spectrum,
+from .spectral import (EigenReport, IndexParams, PairingReport,  # noqa: E402
+                       WindingMismatchWarning, WittenIndexReport, low_spectrum,
                        mode_census, pairing_check, winding_number,
                        witten_index)
 from .analysis import (AlgebraReport, ConvergenceReport, DecayFit,  # noqa: E402
@@ -57,7 +57,7 @@ __all__ = [
     "parity_classify", "project", "graded_apply", "physical_state_embed",
     # spectral
     "EigenReport", "WittenIndexReport", "IndexParams", "PairingReport",
-    "AmbiguousGapWarning", "low_spectrum", "mode_census", "witten_index",
+    "WindingMismatchWarning", "low_spectrum", "mode_census", "witten_index",
     "winding_number", "pairing_check",
     # analysis
     "DecayFit", "SweepRow", "ConvergenceReport", "AlgebraReport",

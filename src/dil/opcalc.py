@@ -462,12 +462,13 @@ def _poly_wirtinger(p: PolyDict, alpha: Fraction, axis: int) -> PolyDict:
     # d(p e^{-a z zb}) = (dp - a zb p) e^{-a z zb} for axis 0; axis 1 (db)
     # swaps the roles of z and zb
     down = (1, 0) if axis == 0 else (0, 1)
+    decay = -alpha
     out: PolyDict = {}
     for (i, j), c in p.items():
         power = (i, j)[axis]
         if power > 0:
             _accumulate(out, (i - down[0], j - down[1]), c * power)
-        _accumulate(out, (i + down[1], j + down[0]), c * -alpha)
+        _accumulate(out, (i + down[1], j + down[0]), c * decay)
     return {k: v for k, v in out.items() if not v.is_zero}
 
 

@@ -23,20 +23,32 @@ matters for strong perturbations, where the gap collapses roughly like
 states near c ~ 0.5.  For a negative winding H_plus holds the kernel and
 the threshold is wrong (see ROADMAP.md, item 4).
 
-Every operator with real coefficients commutes with the antiunitary
+Every defect on the grid's centre commutes with the inversion J, z -> -z,
+which maps node k to n^2 - 1 - k (the grid and every stencil are symmetric
+under the rotation by pi), with the spinor phases (1, (-1)^(N-1)): the mass
+entry z^N or zb^|N| turns by (-1)^N.  A Hermitian H that commutes with J is
+block diagonal in the J-even and J-odd combinations of the pairs
+(k, n^2 - 1 - k) (Fassler & Stiefel, Group Theoretical Methods and Their
+Applications (1992)).  Each block, on half the unknowns, is factored and
+solved as its own matrix: its factor stores less fill than the whole one,
+and a solve with it costs half as much.
+
+Every operator with real coefficients also commutes with the antiunitary
 T = R_y K, the mirror y -> -y followed by complex conjugation (T^2 = 1):
-T d T = d and T z T = z, and the grid and stencils are mirror symmetric.
-On the grid, R_y is the permutation P that maps node row j to row n-1-j in
+T d T = d and T z T = z, and the grid and stencils are mirror symmetric.  On
+the grid, R_y is the permutation P that maps node row j to row n-1-j in
 every spinor component, and T-symmetry of a matrix H reads
-P conj(H) P = H.  Such a Hermitian H is real symmetric in a basis of
-T-invariant vectors built from mirror pairs (Wigner), so its spectrum comes
-from a real factorization and real symmetric Lanczos, at half the storage
-and a fraction of the arithmetic of the complex ones.  ``low_spectrum``
-decides this from the data exactly, with no threshold: a matrix with no
-imaginary entry (the unperturbed model) is real symmetric as it stands, and
-any other one is compared with P conj(H) P entry by entry.  Operators with
-complex coefficients (the multiplier 1 + 2i) fail the comparison and are
-solved in complex arithmetic.
+P conj(H) P = H.  T commutes with J, so it maps each J block to itself, and
+such a block is real symmetric in a basis of T-invariant vectors built from
+mirror pairs (Wigner): its spectrum comes from a real factorization and
+real symmetric Lanczos, at half the storage and a fraction of the
+arithmetic of the complex ones.  A matrix with no imaginary entry, such as
+the unperturbed model, is real symmetric as it stands.
+
+``low_spectrum`` decides both symmetries from the data exactly, entry by
+entry, with no threshold, and only for a sector that takes Lanczos.  A
+defect off the centre fails J and is solved whole; complex coefficients
+(the multiplier 1 + 2i) fail T and are solved in complex arithmetic.
 
 A two-component Hamiltonian [[A, beta I], [beta I, A]] with beta real
 commutes with the on-site swap sigma_x of its two spinor components, so it
@@ -49,8 +61,8 @@ entry by entry, with no threshold.  A + beta is solved once (a factor of
 it stores a quarter of the coupled matrix's fill), and each of its
 eigenpairs gives one of each sector, so a level the two sectors share is
 found in both, where one Lanczos run over the coupled matrix could return
-too few copies of it.  The sector then takes the real-arithmetic choice
-above.  Any other coupling leaves the matrix whole.
+too few copies of it.  The sector then takes the J and T choices above.
+Any other coupling leaves the matrix whole.
 
 The scalar sectors of the unperturbed defect are 2-D oscillators on the
 tensor grid: with node iy n + ix, S = T_y (x) I + I (x) T_x, every hop along
@@ -110,9 +122,10 @@ except (AttributeError, OSError, TypeError):
         return 0
 
 
-class AmbiguousGapWarning(UserWarning):
-    """The analytic index disagrees with the winding number (an eigenvalue
-    near the counting threshold only sets the report's ``ambiguous``)."""
+class WindingMismatchWarning(UserWarning):
+    """The analytic index disagrees with the winding number.  Issued only
+    then: an eigenvalue near the counting threshold sets the report's
+    ``ambiguous`` and warns of nothing."""
 
 
 @dataclass
@@ -133,6 +146,7 @@ class EigenReport:
     sector_offset: Optional[float] = None
     sector_pairs: list[int] = dc_field(default_factory=list)
     kron_defect: Optional[float] = None
+    inversion_phase: Optional[list[int]] = None
 
     def to_json_dict(self) -> dict:
         # version 2 added ordering, lu_fill, n_solves and arithmetic;
@@ -140,9 +154,11 @@ class EigenReport:
         # version 5 added count_shift and sector_pairs; version 6 replaced
         # count_shift with sector_offset; version 7 dropped method, sectors and
         # identical_sectors (sector_offset null is one sector, 0.0 two identical);
-        # version 8 added kron_defect (null when Lanczos ran)
+        # version 8 added kron_defect (null when Lanczos ran); version 9 added
+        # inversion_phase (null when the sector was not split) and lists one
+        # sector_pairs entry per solve
         return {
-            "schema_version": 8,
+            "schema_version": 9,
             "matrix_id": self.matrix_id,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "eigenvalues": list(self.eigenvalues),
@@ -156,6 +172,7 @@ class EigenReport:
             "sector_offset": self.sector_offset,
             "sector_pairs": list(self.sector_pairs),
             "kron_defect": self.kron_defect,
+            "inversion_phase": self.inversion_phase,
         }
 
 
@@ -191,8 +208,8 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     one with any other coupling included, is one sector, solved as it is.
     ``sector_offset`` in the report is -2 beta, 0.0 for two identical
     sectors and null for one sector, and ``sector_pairs`` lists the pairs
-    returned by the one solve.  The residuals and their bound are those of
-    the full matrix.
+    returned by each solve of it (below).  The residuals and their bound are
+    those of the full matrix.
 
     A sector on the scalar grid (A + beta, or a one-component matrix) is
     first tested for the Kronecker-sum form, from its entries alone (module
@@ -215,31 +232,40 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     the bound included, is solved as below, and its ``kron_defect`` is
     null.
 
-    The sector minus sigma is factored once by ``_factor``: SuperLU without
-    pivoting, in symmetric mode, with the minimum-degree ordering on the
-    pattern of A^T + A, in the sector's own dtype.  Every shift-invert step
-    is a solve with that factor.  A factor that fails a check (a zero pivot,
-    an exactly singular matrix, as with an eigenvalue at sigma, or an
-    unstable solve) raises SolverError naming it.  The report records the
-    ordering, the L+U entries SuperLU stores (``lu_fill``) and the solves.
+    A sector that takes Lanczos is first split by its symmetries, decided
+    by exact comparison (module docstring, ``_parity_forms``).  When it
+    commutes with the inversion J, with the phase 1 on the first component
+    and +1 or -1 on the second, its J-even and J-odd sectors are solved
+    each as its own matrix, for min(k, dim - 2) pairs of its own dimension
+    (ceil(k/2) in place of k for two identical swap sectors), one after the
+    other, and the k lowest pairs of the union are kept in a stable order.
+    One Lanczos run over the two blocks together could return too few
+    copies of a level they share.  A sector without J (a defect off the
+    grid's centre, say) is solved whole.  ``inversion_phase`` in the
+    report is the phases of the solved sector's components ([1] for a
+    scalar sector), null when it was not split, and ``sector_pairs`` holds
+    one entry per solve.
 
-    A complex sector is solved in real arithmetic when it allows it,
-    decided by exact comparison (module docstring).  With no imaginary
-    entry, it is solved as the real matrix it is.  Otherwise it must be
-    T-symmetric: P conj(S) P must equal S bitwise, where P maps node row j
-    to row n-1-j in every component.  Then the unitary Q whose columns are
-    (e_a + e_Pa)/sqrt(2) and i(e_a - e_Pa)/sqrt(2) for each mirror pair
-    a < Pa, side by side, and e_f for each node f = Pf on the y = 0 row of
-    an odd grid, gives the real symmetric R = Re(Q* S Q) with the spectrum
-    of S.  R takes the place of S in the solve and the eigenvectors are
-    mapped back as v = Q w.  Keeping the two columns of a pair side by side
-    keeps the fill of the factorization low.  A sector with no imaginary
-    entry does not take this basis: there R splits exactly into the
-    mirror-even and mirror-odd columns, and shift-invert Lanczos on it
+    Each matrix solved, minus sigma, is factored once by ``_factor``:
+    SuperLU without pivoting, in symmetric mode, with the minimum-degree
+    ordering on the pattern of A^T + A, in the matrix's own dtype.  Every shift-invert
+    step is a solve with that factor, and the factor is freed before the
+    next sector is factored.  A factor that fails a check (a zero pivot, an
+    exactly singular matrix, as with an eigenvalue at sigma, or an unstable
+    solve) raises SolverError naming it.  The report records the ordering,
+    and the L+U entries SuperLU stores (``lu_fill``) and the solves, each
+    summed over the sectors' solves.
+
+    Each matrix is solved in real arithmetic when it allows it: as it
+    stands when it has no imaginary entry, and in a basis of T-invariant
+    vectors when P conj(S) P equals S bitwise, P the mirror of node rows.
+    The eigenvectors are mapped back through that basis.  A matrix with no
+    imaginary entry does not take the T basis: there it splits exactly into
+    mirror-even and mirror-odd columns, and shift-invert Lanczos on that
     returned too few copies of a degenerate level (the n = 24 vortex
     H_plus, at three of eight start vectors), where the plain real solve
     returns them all.  ``arithmetic`` in the report is "real" when the
-    solve ran in real arithmetic.
+    solves ran in real arithmetic.
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
@@ -276,19 +302,31 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
     wanted = -(-k // 2) if offset == 0.0 else k
     kron = _kron_sum(sector, grid) if sector.shape[0] == n2 else None
+    phases = None
     if kron is not None and kron[2] <= residual_bound:
         ty, tx, kron_defect = kron
         vals, vecs = _kron_solve(ty, tx, wanted)
         ordering, lu_fill, n_solves = None, 0, 0
+        sector_pairs = [vals.size]
         real = not np.iscomplexobj(vecs)
     else:
         rng = np.random.default_rng(seed)
         ncv = max(4 * min(k, dim - 2), 40)
-        vals, vecs, lu_fill, n_solves, real = _shift_invert(
-            *_solve_form(sector, grid), wanted, rng, ncv, matrix_id)
+        forms, phases = _parity_forms(sector, grid)
+        del sector, kron
+        vals, vecs, sector_pairs = [], [], []
+        lu_fill = n_solves = 0
+        real = True
+        for form, basis in forms:
+            real = real and not np.iscomplexobj(form)
+            f_vals, f_vecs, fill, solves = _shift_invert(form, wanted, rng, ncv, matrix_id)
+            vals.append(f_vals)
+            vecs.append(f_vecs if basis is None else basis @ f_vecs)
+            sector_pairs.append(f_vals.size)
+            lu_fill += fill
+            n_solves += solves
+        vals, vecs = np.concatenate(vals), np.hstack(vecs)
         ordering, kron_defect = ORDERING, None
-    del sector, kron
-    sector_pairs = [vals.size]
     if offset is not None:
         vals = np.concatenate((vals, vals + offset))
         vecs = np.block([[vecs, vecs], [vecs, -vecs]]) * np.sqrt(0.5)
@@ -320,7 +358,7 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
                        lu_fill=lu_fill, n_solves=n_solves,
                        arithmetic="real" if real else "complex",
                        sector_offset=offset, sector_pairs=sector_pairs,
-                       kron_defect=kron_defect)
+                       inversion_phase=phases, kron_defect=kron_defect)
 
 
 def _swap_sector(herm: sp.csr_matrix, n2: int) -> Optional[tuple[sp.csr_matrix, float]]:
@@ -435,21 +473,20 @@ def _lowest_levels(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sla.eig_banded(band, select="i", select_range=(0, min(k, n) - 1))
 
 
-def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: int,
-                  rng: np.random.Generator, ncv: int, matrix_id: str
-                  ) -> tuple[np.ndarray, np.ndarray, int, int, bool]:
-    """k lowest eigenpairs of one Hermitian sector by shift-invert Lanczos.
+def _shift_invert(form: sp.csr_matrix, k: int, rng: np.random.Generator, ncv: int,
+                  matrix_id: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """min(k, dim - 2) lowest eigenpairs of one Hermitian sector form (one
+    that ``_parity_forms`` gives) by shift-invert Lanczos.
 
-    Takes the sector in the form ``_solve_form`` gives.  Returns the
-    eigenvalues, the eigenvectors as columns in the sector's own basis, the
-    L+U fill, the number of solves and whether the solve ran in real
-    arithmetic.
+    Returns the eigenvalues, the eigenvectors as columns in the form's own
+    basis, the L+U fill and the number of solves.  The factor is local, so
+    it is freed before the next sector is factored.
     """
-    dim = solve_mat.shape[0]
+    dim = form.shape[0]
     k_eff = min(k, dim - 2)
     v0 = rng.standard_normal(dim)
     ncv = min(dim, ncv)
-    lu, failed = _factor(solve_mat, SHIFT)
+    lu, failed = _factor(form, SHIFT)
     if lu is None:
         raise SolverError(f"{matrix_id or 'matrix'}: the pivot-free factorization at "
                           f"sigma = {SHIFT} failed its check: {failed}",
@@ -461,9 +498,9 @@ def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: i
         n_solves += 1
         return lu.solve(x)
 
-    op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=solve_mat.dtype)
+    op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=form.dtype)
     try:
-        vals, vecs = spla.eigsh(solve_mat, k=k_eff, sigma=SHIFT, which="LM",
+        vals, vecs = spla.eigsh(form, k=k_eff, sigma=SHIFT, which="LM",
                                 v0=v0, ncv=ncv, OPinv=op_inv)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
@@ -471,36 +508,19 @@ def _shift_invert(solve_mat: sp.csr_matrix, basis: Optional[sp.csr_matrix], k: i
             f"{len(exc.eigenvalues)}/{k_eff} pairs",
             matrix_id=matrix_id, requested=k_eff,
             converged=len(exc.eigenvalues)) from exc
-    if basis is not None:
-        vecs = basis @ vecs
-    return vals, vecs, int(lu.nnz), n_solves, not np.iscomplexobj(solve_mat)
-
-
-def _solve_form(mat: sp.csr_matrix, grid: GridSpec
-                ) -> tuple[sp.csr_matrix, Optional[sp.csr_matrix]]:
-    """The matrix factored for a Hermitian sector, and the basis Q that maps
-    its eigenvectors back (None when it is the sector's own basis): the real
-    matrix of a sector with no imaginary entry, the mirror-pair form of a
-    T-symmetric one, or else the complex sector itself."""
-    if np.iscomplexobj(mat):
-        if not mat.data.imag.any():
-            return mat.real, None
-        mirror = _mirror(grid, mat.shape[0] // grid.num_nodes)
-        if (mat.conj()[mirror][:, mirror] != mat).nnz == 0:
-            return _real_form(mat, mirror)
-    return mat, None
+    return vals, vecs, int(lu.nnz), n_solves
 
 
 def _factor(form: sp.csr_matrix, shift: float) -> tuple[Optional[spla.SuperLU], str]:
     """Checked pivot-free SuperLU factor of a Hermitian sector minus shift.
 
-    The sector S, in the form ``_solve_form`` gives, minus shift is factored
-    in symmetric mode with a zero pivot threshold and the solve's ordering,
-    after free heap pages are handed back.  Returns the factor and "", or
-    None and the check it failed: a zero pivot left the diagonal (the row
-    and column permutations differ), S - shift is exactly singular, or the
-    residual of one solve, with a fixed random right-hand side b, exceeds
-    1e-11 (the relative figure of the residual bound) times
+    The sector S, in the form ``_parity_forms`` gives, minus shift is
+    factored in symmetric mode with a zero pivot threshold and the solve's
+    ordering, after free heap pages are handed back.  Returns the factor and
+    "", or None and the check it failed: a zero pivot left the diagonal (the
+    row and column permutations differ), S - shift is exactly singular, or
+    the residual of one solve, with a fixed random right-hand side b,
+    exceeds 1e-11 (the relative figure of the residual bound) times
     (|S|_inf + |shift|) |x|_inf + |b|_inf.
     """
     dim = form.shape[0]
@@ -522,35 +542,145 @@ def _factor(form: sp.csr_matrix, shift: float) -> tuple[Optional[spla.SuperLU], 
     return lu, ""
 
 
-def _mirror(grid: GridSpec, components: int) -> np.ndarray:
-    """Index of the mirror image under y -> -y of every unknown."""
-    n2 = grid.num_nodes
-    node = np.arange(n2).reshape(grid.n, grid.n)[::-1].ravel()
-    return (np.arange(components)[:, None] * n2 + node[None, :]).ravel()
+def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
+                  ) -> tuple[list[tuple[sp.csr_matrix, Optional[sp.csr_matrix]]],
+                             Optional[list[int]]]:
+    """The matrices Lanczos solves for a Hermitian grid sector S, each with
+    its basis Q, which maps its vectors back as v = Q w, at most two entries
+    per row (None: the sector's own basis), and the inversion phases of S's
+    components (None: no split).
 
+    Both symmetries are read from S's data bitwise (module docstring).  The
+    inversion J maps unknown c n^2 + k to c n^2 + n^2 - 1 - k, with the
+    phase 1 on the first component and sigma = +1 or -1 on the second: S
+    commutes with J when S[Ju, Jv] s_u s_v == S[u, v] for every entry.  The
+    mirror P maps node row j to n - 1 - j, and S commutes with T = P K when
+    conj(S[Pu, Pv]) == S[u, v].  A sector with no imaginary entry is real as
+    it stands and takes no T basis.  Within each component block of a row
+    J reverses the order of the columns, and the mirror x -> -x, P J, that
+    within each grid row, so the image of every entry is found by index
+    arithmetic (``_reversal``), and P as J after P J; a pattern that either
+    map does not keep is taken as no symmetry.
 
-def _real_form(herm: sp.csr_matrix, mirror: np.ndarray
-               ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Real symmetric R = Re(Q* herm Q) and the unitary Q of T-invariant columns.
-
-    Columns follow each pair's lead a: a pair a < Pa gives
-    (e_a + e_Pa)/sqrt(2) and i(e_a - e_Pa)/sqrt(2) side by side, a fixed
-    unknown f = Pf gives e_f.
+    With J, S splits into the even and the odd sector, one form each.  Its
+    basis holds (e_l + p s_l e_Jl)/sqrt(2) for every lead l < Jl, p the
+    sector's parity, and e_f for a fixed unknown f = Jf (the centre node of
+    an odd grid) with s_f = p.  With T, each sector (S itself when J fails)
+    takes the T-invariant basis: where T b_l = t b_m, l < m, the columns
+    (b_l + t b_m)/sqrt(2) and i (b_l - t b_m)/sqrt(2) side by side, which
+    keeps the fill low, and b_l or i b_l where T b_l = +b_l or -b_l; the
+    form is then real symmetric.  Each form is one product of S's lead rows
+    with Q, the columns above, which has at most two entries per row:
+    R[i, :] = f_i g(S[l_i, :] Q), with f_i the inverse weight of row i's
+    lead l_i in its column, and g the real part of the row's phase times
+    the product in the T basis (one phase of a pair's two rows gives the
+    real, the other the imaginary part).  With J alone this is
+    R_p[i, j] = S[i, j] + p s_j S[i, Jj] over the leads.  Without J and T,
+    S is solved as it is, in real arithmetic when it has no imaginary
+    entry.
     """
-    dim = mirror.size
-    lead = np.flatnonzero(np.arange(dim) <= mirror)
-    paired = mirror[lead] != lead
-    first = np.cumsum(1 + paired) - (1 + paired)
-    a, col = lead[paired], first[paired]
-    fixed = lead[~paired]
-    s = np.full(a.size, np.sqrt(0.5))
-    rows = np.concatenate((a, mirror[a], a, mirror[a], fixed))
-    cols = np.concatenate((col, col, col + 1, col + 1, first[~paired]))
-    vals = np.concatenate((s, s, 1j * s, -1j * s, np.ones(fixed.size)))
-    basis = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    real = (basis.getH() @ herm @ basis).real.tocsr()
-    real.eliminate_zeros()
-    return real, basis
+    dim = sector.shape[0]
+    n, n2 = grid.n, grid.num_nodes
+    unknown = np.arange(dim)
+    comp, node = np.divmod(unknown, n2)
+    cols = sector.indices
+    data = sector.data if sector.data.imag.any() else sector.data.real
+    entries = sp.csr_matrix((data, cols, sector.indptr), shape=sector.shape)
+    inverted = comp * n2 + (n2 - 1 - node)
+    iy, ix = np.divmod(node, n)
+    flipped = comp * n2 + iy * n + (n - 1 - ix)  # J T K: the mirror x -> -x
+    at_inverted = _reversal(sector.indptr, cols, inverted, n2)
+    phases = None
+    if at_inverted is not None:
+        image = data[at_inverted]
+        if np.array_equal(image, data):
+            phases = [1, 1][:dim // n2]
+        elif dim // n2 == 2:  # -1 on the coupling blocks, which hold the components' ends
+            off = (cols >= n2) != (np.arange(cols.size) >= sector.indptr[n2])
+            if np.array_equal(image, np.where(off, -data, data)):
+                phases = [1, -1]
+    mirror = None
+    if np.iscomplexobj(data) and at_inverted is not None:
+        at_flipped = _reversal(sector.indptr, cols, flipped, n)
+        if (at_flipped is not None
+                and np.array_equal(data[at_inverted[at_flipped]], data.conj())):
+            mirror = inverted[flipped]
+    if phases is None and mirror is None:
+        return [(entries, None)], None
+
+    sign = np.asarray(phases, dtype=float)[comp] if phases else np.ones(dim)
+    partner = inverted if phases else unknown
+    lead = np.minimum(unknown, partner)
+    paired = partner != unknown
+    weight = np.where(paired, np.sqrt(0.5), 1.0)
+    forms = []
+    for parity in ((1, -1) if phases else (1,)):
+        kept = paired | (sign == parity)  # a fixed unknown of the other parity drops out
+        j_coef = np.where(unknown == lead, weight, parity * sign * weight) * kept
+        heads = np.flatnonzero(kept & (unknown == lead))
+        if mirror is None:
+            twin, t = heads, np.ones(heads.size)
+        else:  # T b_l = t b_twin
+            twin = lead[mirror[heads]]
+            t = np.where(mirror[heads] == twin, 1.0, parity * sign[heads])
+        first, two = heads <= twin, twin != heads
+        # by unknown: the first column of the head's block, whether it has a
+        # second, and the head's coefficient on each
+        start = np.zeros(dim, dtype=np.intp)
+        start[heads[first]] = np.cumsum(1 + two[first]) - 1 - two[first]
+        start[heads] = start[np.minimum(heads, twin)]
+        wide = np.zeros(dim, dtype=np.intp)
+        wide[heads] = two
+        on = np.zeros((2, dim), dtype=complex)
+        on[0, heads] = np.where(two, np.where(first, 1.0, t) * np.sqrt(0.5),
+                                np.where(t > 0, 1.0, 1j))
+        on[1, heads] = np.where(two, np.where(first, 1.0, -t) * 1j * np.sqrt(0.5), 0.0)
+        col = np.stack((start[lead], start[lead] + wide[lead]))
+        coef = j_coef * on[:, lead]
+        # each column's row is its block's first head, scaled by 1 / Q[head, column]
+        row_of = np.empty(heads.size, dtype=np.intp)
+        scale = np.empty(heads.size, dtype=complex)
+        for i, block in enumerate((heads[first], heads[first & two])):
+            row_of[start[block] + i] = block
+            scale[start[block] + i] = 1.0 / coef[i, block]
+        if mirror is None:
+            col, coef, scale = col[:1], coef[:1].real, scale.real
+        basis = sp.csr_matrix((coef.T.ravel(), col.T.ravel(),
+                               np.arange(0, col.size + 1, col.shape[0])), shape=(dim, heads.size))
+        basis.eliminate_zeros()
+        # one product of the lead rows with the basis, each row scaled
+        form = entries[row_of] @ basis
+        form.data *= np.repeat(scale, np.diff(form.indptr))
+        if mirror is not None:
+            form = form.real
+        form.eliminate_zeros()
+        form.sort_indices()
+        forms.append((form, basis))
+    return forms, phases
+
+
+def _reversal(indptr: np.ndarray, cols: np.ndarray, perm: np.ndarray, block: int
+              ) -> Optional[np.ndarray]:
+    """Position of the image (perm r, perm c) of every entry (r, c) of a
+    canonical CSR pattern, for an involution perm that keeps each run of
+    equal c // block in its place in the row and reverses the order within
+    it (the inversion with block n^2, the mirror x -> -x with block n); None
+    when the pattern does not map onto itself."""
+    counts = np.diff(indptr)
+    if not np.array_equal(counts[perm], counts):
+        return None
+    nnz = cols.size
+    run = cols // block
+    new = np.empty(nnz, dtype=bool)
+    new[0:1] = True
+    np.not_equal(run[1:], run[:-1], out=new[1:])
+    new[indptr[:-1][counts > 0]] = True  # a row's first entry starts a run
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], nnz)
+    image = np.repeat(indptr[:-1][perm] - indptr[:-1], counts)
+    image += np.repeat(starts + ends - 1, ends - starts) - np.arange(nnz)
+    return image if np.array_equal(cols[image], perm[cols]) else None
+
 
 def mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
                 loc_radius: float, loc_min: float) -> tuple[int, list[float], bool]:
@@ -704,7 +834,7 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
     if matches is False:
         warnings.warn(
             f"analytic index {delta} disagrees with winding number {winding}",
-            AmbiguousGapWarning, stacklevel=2)
+            WindingMismatchWarning, stacklevel=2)
 
     return WittenIndexReport(
         n_minus=n_minus, n_plus=n_plus, delta=delta,

@@ -12,7 +12,7 @@ import pytest
 
 from dil.cli import CONFIG_KEYS, ExperimentConfig, load_config, main
 from dil.errors import ConfigError
-from dil.spectral import AmbiguousGapWarning
+from dil.spectral import WindingMismatchWarning
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -252,10 +252,10 @@ def test_zero_modes_fails_where_index_fails(tmp_path):
     path = tmp_path / "t8.cfg"
     path.write_text("grid.L = 5\ngrid.n = 24\nmodel.t = 8\nsolver.k = 6\n")
     index_out, modes_out = tmp_path / "index.json", tmp_path / "modes.json"
-    with pytest.warns(AmbiguousGapWarning, match="disagrees"):
+    with pytest.warns(WindingMismatchWarning, match="disagrees"):
         assert main(["index", "--config", str(path), "--serial",
                      "--out", str(index_out)]) == 1
-    with pytest.warns(AmbiguousGapWarning, match="disagrees"):
+    with pytest.warns(WindingMismatchWarning, match="disagrees"):
         assert main(["zero-modes", "--config", str(path), "--serial",
                      "--out", str(modes_out)]) == 1
     index, modes = _read_report(index_out), _read_report(modes_out)

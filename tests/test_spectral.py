@@ -143,21 +143,25 @@ def test_eigen_report_payload_version_and_keys():
     g = GridSpec(4.0, 8)
     eye = sp.identity(2 * g.num_nodes, dtype=complex, format="csr")
     payload = low_spectrum(eye, 3, grid=g, matrix_id="identity").to_json_dict()
-    assert payload["schema_version"] == 8
+    assert payload["schema_version"] == 9
     assert set(payload) == {
         "schema_version", "matrix_id", "grid", "eigenvalues", "residuals",
         "residual_bound", "hermiticity_defect", "ordering", "lu_fill",
-        "n_solves", "arithmetic", "sector_offset", "sector_pairs", "kron_defect"}
+        "n_solves", "arithmetic", "sector_offset", "sector_pairs", "kron_defect",
+        "inversion_phase"}
     # the identity is [[I, 0], [0, I]]: two identical sectors (offset 0.0),
     # solved once for ceil(3/2) pairs, each the Kronecker sum 0 (x) I + I (x) I
     assert (payload["sector_offset"], payload["sector_pairs"]) == (0.0, [2])
     assert str(payload["sector_offset"]) == "0.0"  # not -0.0
     assert (payload["kron_defect"], payload["ordering"], payload["lu_fill"],
             payload["n_solves"], payload["arithmetic"]) == (0.0, None, 0, 0, "real")
-    # a matrix that is not a Kronecker sum records no defect
+    assert payload["inversion_phase"] is None  # no Lanczos sector to split
+    # a matrix that is not a Kronecker sum records no defect; its diagonal is
+    # not symmetric under the inversion either, so it is one solve
     diagonal = sp.diags(np.arange(1.0, g.num_nodes + 1.0) ** 2, format="csr")
     payload = low_spectrum(diagonal, 3, grid=g).to_json_dict()
     assert (payload["kron_defect"], payload["ordering"]) == (None, "MMD_AT_PLUS_A")
+    assert (payload["inversion_phase"], payload["sector_pairs"]) == (None, [3])
 
 
 def test_residual_bound_is_taken_from_the_summed_entries():
@@ -332,16 +336,17 @@ def test_kronecker_sum_sectors_match_the_dense_spectrum(n, case, name, monkeypat
     assert 0.0 <= rep.kron_defect <= rep.residual_bound
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= rep.residual_bound
     assert max(rep.residuals) <= rep.residual_bound
-
-    def copies(vals, lam):
-        return int(np.sum(np.abs(np.subtract(vals, lam)) <= 1e-8))
-
-    assert [copies(rep.eigenvalues, lam) for lam in exact] == \
-        [copies(exact, lam) for lam in exact]
-    assert max(copies(exact, lam) for lam in exact) >= 2
+    assert [_copies(rep.eigenvalues, lam) for lam in exact] == \
+        [_copies(exact, lam) for lam in exact]
+    assert max(_copies(exact, lam) for lam in exact) >= 2
     vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
     assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(k))) <= 1e-9
     assert low_spectrum(mat, k, grid=grid, seed=5).eigenvalues == rep.eigenvalues
+
+
+def _copies(vals, lam):
+    """How many of vals lie within 1e-8 of lam."""
+    return int(np.sum(np.abs(np.subtract(vals, lam)) <= 1e-8))
 
 
 def _scalar_with_hop(hop, **how):
@@ -350,20 +355,22 @@ def _scalar_with_hop(hop, **how):
 
 
 _NO_KRON_CASES = {
-    # builder and what the Kronecker test of its sector gives: "untested"
-    # for a sector of two components, "no sum" for an off-diagonal entry
-    # that fails it, "over the bound" for a diagonal remainder above it
+    # builder, what the Kronecker test of its sector gives ("untested" for
+    # a sector of two components, "no sum" for an off-diagonal entry that
+    # fails it, "over the bound" for a diagonal remainder above it), and the
+    # factorizations: 2 where the sector commutes with the inversion, 1
+    # where the added hop breaks it
     "vortex-c0.3": (lambda grid: build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat,
-                    "untested"),
-    "diagonal-hop": (_scalar_with_hop(lambda grid: grid.n + 1), "no sum"),
-    "one-row-x-hop": (_scalar_with_hop(lambda grid: 2), "no sum"),
+                    "untested", 2),
+    "diagonal-hop": (_scalar_with_hop(lambda grid: grid.n + 1), "no sum", 1),
+    "one-row-x-hop": (_scalar_with_hop(lambda grid: 2), "no sum", 1),
     # the centre grid row lacks an x-hop that grid row 0 has
-    "cut-x-hop": (_scalar_with_hop(lambda grid: 1, cut=True), "no sum"),
+    "cut-x-hop": (_scalar_with_hop(lambda grid: 1, cut=True), "no sum", 1),
     # stored on one side only: A and A* have two patterns
-    "one-sided-hop": (_scalar_with_hop(lambda grid: grid.n + 1, one_sided=True), "no sum"),
+    "one-sided-hop": (_scalar_with_hop(lambda grid: grid.n + 1, one_sided=True), "no sum", 1),
     "N=2-m1-H_plus": (lambda grid: _block_set(monomial(1, pow_zbar=2),
                                               monomial(1, pow_z=2))(grid).H_plus_mat,
-                      "over the bound"),
+                      "over the bound", 2),
 }
 
 
@@ -375,7 +382,7 @@ def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
     # residual bound, sends the sector to the factorization and Lanczos, as
     # does a sector of two components, which is not tested at all; the
     # hermiticity defect is max|A - A*| over the largest entry
-    build, verdict = _NO_KRON_CASES[case]
+    build, verdict, factors = _NO_KRON_CASES[case]
     grid = GridSpec(5.0, 24)
     mat = build(grid)
     defect = spectral.max_abs(mat - mat.getH()) / spectral.max_abs(mat)
@@ -385,7 +392,8 @@ def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
     calls = _count_factorizations(monkeypatch)
     rep = low_spectrum(mat, 8, grid=grid)
     assert (rep.ordering, rep.kron_defect, rep.arithmetic, len(calls)) == \
-        ("MMD_AT_PLUS_A", None, "real", 1)
+        ("MMD_AT_PLUS_A", None, "real", factors)
+    assert len(rep.sector_pairs) == factors
     assert rep.lu_fill > 0 and rep.n_solves >= 8
     assert rep.hermiticity_defect == defect
     if case == "one-sided-hop":
@@ -398,6 +406,107 @@ def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
         assert tested == [None]
     else:
         assert len(tested) == 1 and tested[0][2] > rep.residual_bound
+
+
+_INVERSION_CASES = {
+    # builder, then the inversion phases of the sector H_minus and H_plus
+    # solve: (1, (-1)^(N-1)) on the two components, [1] on a scalar sector
+    "vortex-c0.3": (lambda grid: build_operator_set(ModelSpec(epsilon="0.3"), grid),
+                    [1, 1], [1, 1]),
+    "anti-vortex-m41/20": (_block_set(Z * Fraction(41, 20), ZBAR), [1, 1], [1, 1]),
+    "N=2-m5/2": (_block_set(monomial(Fraction(5, 2), pow_zbar=2), monomial(1, pow_z=2)),
+                 [1, -1], [1, -1]),
+    "N=-2-m5/2": (_block_set(monomial(Fraction(5, 2), pow_z=2), monomial(1, pow_zbar=2)),
+                  [1, -1], [1, -1]),
+    # H_plus is [[A, 0], [0, A]], solved as its scalar sector A, whose |z|^4
+    # diagonal is no Kronecker sum; its levels are exactly double
+    "N=2-m1": (_block_set(monomial(1, pow_zbar=2), monomial(1, pow_z=2)), [1, -1], [1]),
+    "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), [1, 1], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("case", list(_INVERSION_CASES))
+def test_inversion_sectors_match_the_dense_spectrum(monkeypatch, case, n):
+    # every partner of a defect on the grid's centre commutes with z -> -z:
+    # its even and odd sectors are factored and solved each as its own
+    # matrix, and the 8 lowest of both are the dense spectrum, with every
+    # copy of a degenerate level, from every start vector, and orthonormal
+    # vectors; odd n puts the centre node on the inversion's fixed point
+    build, *phases = _INVERSION_CASES[case]
+    grid = GridSpec(5.0, n)
+    op_set = build(grid)
+    calls = _count_factorizations(monkeypatch)
+    for name, phase in zip(("H_minus_mat", "H_plus_mat"), phases):
+        mat = getattr(op_set, name)
+        exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+        if case == "N=2-m1" and name == "H_plus_mat":  # a double level of A, twice
+            assert max(_copies(exact, lam) for lam in exact) == 4
+        for seed in range(3):
+            del calls[:]
+            rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed)
+            assert rep.inversion_phase == rep.to_json_dict()["inversion_phase"] == phase
+            assert len(rep.sector_pairs) == len(calls) == 2
+            assert rep.arithmetic == ("complex" if case == "anti-vortex-m1+2i" else "real")
+            assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+            assert [_copies(rep.eigenvalues, lam) for lam in exact] == \
+                [_copies(exact, lam) for lam in exact]
+            assert max(rep.residuals) <= rep.residual_bound
+            vecs = np.array([f.values.ravel() for f in rep.vectors]) * grid.h
+            assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("case", list(_INVERSION_CASES) + ["off-centre"])
+def test_parity_forms_are_unitary_reductions(case, n):
+    # each form is Q* S Q for the orthonormal columns Q of its basis, and
+    # the forms together hold the whole spectrum of S, dense, on a
+    # grid small enough to hold every level; the off-centre defect keeps only
+    # the mirror-conjugation, and is one real form
+    grid = GridSpec(5.0, n)
+    if case == "off-centre":
+        lower = Z - ONE * Fraction(1, 2)
+        op_set = operator_set_from_block(_defect(adjoint(lower) * 2, lower), grid)
+    else:
+        op_set = _INVERSION_CASES[case][0](grid)
+    for name in ("H_minus_mat", "H_plus_mat"):
+        mat = getattr(op_set, name)
+        herm = ((mat + mat.getH()) * 0.5).tocsr()
+        forms, phases = spectral._parity_forms(herm, grid)
+        assert len(forms) == (1 if case == "off-centre" else 2)
+        assert (phases is None) == (case == "off-centre")
+        levels = []
+        for form, basis in forms:
+            q = basis.toarray()
+            assert np.max(np.abs(q.conj().T @ q - np.eye(form.shape[0]))) <= 1e-14
+            reduced = q.conj().T @ herm.toarray() @ q
+            assert np.max(np.abs(reduced - form.toarray())) <= 1e-14 * spectral.max_abs(herm)
+            assert np.iscomplexobj(form) == (case == "anti-vortex-m1+2i")
+            levels.append(np.linalg.eigvalsh(form.toarray()))
+        assert np.max(np.abs(np.sort(np.concatenate(levels))
+                             - np.linalg.eigvalsh(herm.toarray()))) <= 1e-13 * spectral.max_abs(herm)
+
+
+@pytest.mark.parametrize("scale, factors", [(1, 0), (2, 1)])
+def test_an_off_centre_defect_is_solved_whole(monkeypatch, scale, factors):
+    # the lower entry z - 1/2 has its zero off the grid's centre, so no
+    # partner commutes with the inversion.  With the conjugate above, both
+    # partners are swap-coupled Kronecker sums and take no factorization;
+    # with twice the conjugate, each is one sector, factored once as a
+    # whole, and still real by the mirror-conjugation T
+    grid = GridSpec(5.0, 24)
+    lower = Z - ONE * Fraction(1, 2)
+    op_set = operator_set_from_block(_defect(adjoint(lower) * scale, lower), grid)
+    calls = _count_factorizations(monkeypatch)
+    for name in ("H_minus_mat", "H_plus_mat"):
+        mat = getattr(op_set, name)
+        del calls[:]
+        rep = low_spectrum(mat, 8, grid=grid, matrix_id=name)
+        assert (rep.inversion_phase, len(calls), rep.arithmetic) == (None, factors, "real")
+        if factors:
+            assert rep.sector_pairs == [8]
+        exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+        assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
 
 
 _SWAP_PROBE = """
@@ -759,7 +868,7 @@ def test_multi_defect_winding_is_taken_on_the_grid_contour(a, mixed, delta):
     lower = (Z - ONE * a) * second
     op_set = operator_set_from_block(_defect(adjoint(lower), lower), grid)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", spectral.AmbiguousGapWarning)
+        warnings.simplefilter("error", spectral.WindingMismatchWarning)
         report = witten_index(op_set, grid, IndexParams(k=8))
     assert (report.delta, report.winding, report.winding_matches) == (delta, delta, True)
 
@@ -768,7 +877,7 @@ def test_winding_mismatch_warns(monkeypatch):
     # an index that disagrees with the winding warns and reports the mismatch
     grid = GridSpec(5.0, 24)
     monkeypatch.setattr(spectral, "winding_number", lambda multiplier, radius: 0)
-    with pytest.warns(spectral.AmbiguousGapWarning, match="disagrees"):
+    with pytest.warns(spectral.WindingMismatchWarning, match="disagrees"):
         report = witten_index(build_operator_set(ModelSpec(), grid), grid, IndexParams(k=6))
     assert (report.delta, report.winding, report.winding_matches) == (1, 0, False)
 
