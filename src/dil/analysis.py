@@ -9,14 +9,14 @@ residual report for the supersymmetry algebra.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitWindowError, ModelError
-from .lattice import Field, GridSpec, max_abs
+from .lattice import Field, GridSpec, json_payload, max_abs
 from .spectral import IndexParams, low_spectrum, witten_index
 from .susy import ModelSpec, SusyQuartet, build_operator_set
 
@@ -77,7 +77,7 @@ class SweepRow:
     error: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return json_payload(self)
 
 
 def perturbation_sweep(c_values: Sequence[float], grid: GridSpec, *,
@@ -129,13 +129,7 @@ class ConvergenceReport:
     monotone_second: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": [asdict(r) for r in self.rows],
-            "order_smallest": self.order_smallest,
-            "order_second": self.order_second,
-            "monotone_smallest": self.monotone_smallest,
-            "monotone_second": self.monotone_second,
-        }
+        return json_payload(self)
 
 
 def convergence_study(grids: Sequence[GridSpec],
@@ -202,8 +196,7 @@ class AlgebraReport:
         return self.max_residual <= tol
 
     def to_json_dict(self) -> dict:
-        return {"residuals": dict(self.residuals),
-                "max_residual": self.max_residual}
+        return {**json_payload(self), "max_residual": self.max_residual}
 
 
 def algebra_check(q: SusyQuartet) -> AlgebraReport:

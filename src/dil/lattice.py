@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
@@ -242,7 +242,7 @@ def discretize(op: BlockOperator, grid: GridSpec) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Delimited serialization (binary-free)
+# Delimited serialization (binary-free) and JSON payloads
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -257,52 +257,30 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         w.writerows(rows)
 
 
-def _read_csv(path, header: Sequence[str]) -> list[list[str]]:
-    """The rows after the header, which must be ``header``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != list(header):
-            raise ValueError(f"unexpected CSV header in {path}: {found}")
-        return list(reader)
-
-
-_MATRIX_HEADER = ("row", "col", "re", "im")
-_FIELD_HEADER = ("index", "re", "im")
-
-
-def matrix_to_csv(mat: sp.spmatrix, path) -> None:
-    """Write a sparse matrix as (row, col, re, im) triplets with a header."""
-    coo = mat.tocoo()
-    data = coo.data.astype(complex)
-    write_csv(path, _MATRIX_HEADER, zip(coo.row.tolist(), coo.col.tolist(),
-                                        data.real.tolist(), data.imag.tolist()))
-
-
-def matrix_from_csv(path, shape: tuple[int, int]) -> sp.csr_matrix:
-    """Read a matrix back; each (row, col) may appear at most once."""
-    cells = _read_csv(path, _MATRIX_HEADER)
-    vals = [complex(float(re_s), float(im_s)) for _, _, re_s, im_s in cells]
-    ij = ([int(row[0]) for row in cells], [int(row[1]) for row in cells])
-    if len(set(zip(*ij))) != len(cells):
-        raise ValueError(f"{path} lists some (row, col) more than once")
-    return sp.coo_matrix((vals, ij), shape=shape).tocsr()
-
-
 def field_to_csv(fld: Field, path) -> None:
     """Write a field as (index, re, im) rows with a header."""
     vals = fld.values
-    write_csv(path, _FIELD_HEADER,
+    write_csv(path, ("index", "re", "im"),
               zip(range(vals.size), vals.real.tolist(), vals.imag.tolist()))
 
 
-def field_from_csv(path, grid: GridSpec, components: int) -> Field:
-    """Read a field back; every index 0..N-1 must appear exactly once."""
-    size = components * grid.num_nodes
-    cells = _read_csv(path, _FIELD_HEADER)
-    idx = [int(row[0]) for row in cells]
-    if sorted(idx) != list(range(size)):
-        raise ValueError(f"{path} does not list each index 0..{size - 1} exactly once")
-    vals = np.empty(size, dtype=complex)
-    vals[idx] = [complex(float(re_s), float(im_s)) for _, re_s, im_s in cells]
-    return Field(grid, components, vals)
+def json_payload(obj) -> dict:
+    """Every field of a dataclass that its repr shows, by name.
+
+    A value with its own ``to_json_dict`` goes through that method, any other
+    dataclass through its fields, lists and tuples element by element and
+    dicts value by value.
+    """
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj) if f.repr}
+
+
+def _json_value(value):
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return json_payload(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value

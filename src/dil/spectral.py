@@ -98,7 +98,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContourError, ShapeError, SolverError
-from .lattice import Field, GridSpec, localization_fraction, max_abs
+from .lattice import Field, GridSpec, json_payload, localization_fraction, max_abs
 from .opcalc import OperatorExpression, evaluate_multiplication
 from .susy import DefectOperatorSet, ModelSpec
 
@@ -135,7 +135,7 @@ class EigenReport:
     matrix_id: str
     grid: GridSpec
     eigenvalues: list[float]
-    vectors: list[Field]
+    vectors: list[Field] = dc_field(repr=False)
     residuals: list[float]
     residual_bound: float
     hermiticity_defect: float
@@ -157,23 +157,7 @@ class EigenReport:
         # version 8 added kron_defect (null when Lanczos ran); version 9 added
         # inversion_phase (null when the sector was not split) and lists one
         # sector_pairs entry per solve
-        return {
-            "schema_version": 9,
-            "matrix_id": self.matrix_id,
-            "grid": {"L": self.grid.L, "n": self.grid.n},
-            "eigenvalues": list(self.eigenvalues),
-            "residuals": list(self.residuals),
-            "residual_bound": self.residual_bound,
-            "hermiticity_defect": self.hermiticity_defect,
-            "ordering": self.ordering,
-            "lu_fill": self.lu_fill,
-            "n_solves": self.n_solves,
-            "arithmetic": self.arithmetic,
-            "sector_offset": self.sector_offset,
-            "sector_pairs": list(self.sector_pairs),
-            "kron_defect": self.kron_defect,
-            "inversion_phase": self.inversion_phase,
-        }
+        return {"schema_version": 9, **json_payload(self)}
 
 
 def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
@@ -782,24 +766,7 @@ class WittenIndexReport:
 
     def to_json_dict(self) -> dict:
         # version 2: the model lists only the couplings that enter the operator
-        return {
-            "schema_version": 2,
-            "n_minus": self.n_minus,
-            "n_plus": self.n_plus,
-            "delta": self.delta,
-            "gap_threshold": self.gap_threshold,
-            "loc_radius": self.loc_radius,
-            "loc_min": self.loc_min,
-            "localization_fractions": self.localization_fractions,
-            "winding": self.winding,
-            "winding_matches": self.winding_matches,
-            "ambiguous": self.ambiguous,
-            "grid": {"L": self.grid.L, "n": self.grid.n},
-            "model": self.model.to_json_dict() if self.model is not None else None,
-            "eigenvalues_minus": list(self.eigenvalues_minus),
-            "eigenvalues_plus": list(self.eigenvalues_plus),
-            "max_residual": self.max_residual,
-        }
+        return {"schema_version": 2, **json_payload(self)}
 
 
 def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
@@ -863,14 +830,7 @@ class PairingReport:
         return not self.unmatched_minus
 
     def to_json_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "tol": self.tol,
-            "pairs": [list(p) for p in self.pairs],
-            "unmatched_minus": list(self.unmatched_minus),
-            "unmatched_plus": list(self.unmatched_plus),
-            "all_matched": self.all_matched,
-        }
+        return {**json_payload(self), "all_matched": self.all_matched}
 
 
 def pairing_check(rm: EigenReport, rp: EigenReport, cutoff: float,

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dil import (FitWindowError, GridSpec, IndexParams, ModelSpec,
-                 algebra_check, build_operator_set, build_susy_quartet,
-                 convergence_study, fit_gaussian_decay, gaussian,
-                 perturbation_sweep, sample)
+from dil import (AlgebraReport, ConvergenceReport, EigenReport, FitWindowError,
+                 GridSpec, IndexParams, ModelSpec, PairingReport, SweepRow,
+                 WittenIndexReport, algebra_check, build_operator_set,
+                 build_susy_quartet, convergence_study, fit_gaussian_decay,
+                 gaussian, pairing_check, perturbation_sweep, sample,
+                 witten_index)
 from dil.analysis import ALGEBRA_RELATIONS
 
 
@@ -128,3 +133,49 @@ def test_algebra_residuals_do_not_depend_on_grid_size():
     for name in ALGEBRA_RELATIONS:
         assert reports[0].residuals[name] <= 1e-12
         assert reports[1].residuals[name] <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# report payloads
+# --------------------------------------------------------------------------
+
+# each report's payload holds its repr'd fields plus these keys
+_PAYLOAD_EXTRAS = {
+    EigenReport: {"schema_version"},
+    WittenIndexReport: {"schema_version"},
+    PairingReport: {"all_matched"},
+    ConvergenceReport: set(),
+    AlgebraReport: {"max_residual"},
+    SweepRow: set(),
+}
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    """One computed instance of each report class, at n = 24 and epsilon = 0.3."""
+    grid = GridSpec(5.0, 24)
+    op_set = build_operator_set(ModelSpec(epsilon="0.3"), grid)
+    index = witten_index(op_set, grid, IndexParams(k=6))
+    return {
+        EigenReport: index.minus_report,
+        WittenIndexReport: index,
+        PairingReport: pairing_check(index.minus_report, index.plus_report, 4.0),
+        ConvergenceReport: convergence_study([GridSpec(5.0, n) for n in (25, 33, 49)]),
+        AlgebraReport: algebra_check(build_susy_quartet(op_set.D_mat)),
+        SweepRow: perturbation_sweep([0.3], grid, params=IndexParams(k=6))[0],
+    }
+
+
+@pytest.mark.parametrize("cls", list(_PAYLOAD_EXTRAS), ids=lambda c: c.__name__)
+def test_report_payload_is_its_repr_fields(small_reports, cls):
+    report = small_reports[cls]
+    payload = report.to_json_dict()
+    shown = {f.name for f in fields(cls) if f.repr}
+    hidden = {f.name for f in fields(cls) if not f.repr}
+    assert set(payload) == shown | _PAYLOAD_EXTRAS[cls]
+    assert not hidden & set(payload)
+    # plain JSON already: nothing is coerced on the way through
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+    if cls is EigenReport:
+        assert hidden == {"vectors"} and report.vectors
+        assert "vectors" not in repr(report) and "Field(" not in repr(report)
