@@ -26,12 +26,13 @@ the threshold is wrong (see ROADMAP.md, item 4).
 Every defect on the grid's centre commutes with the inversion J, z -> -z,
 which maps node k to n^2 - 1 - k (the grid and every stencil are symmetric
 under the rotation by pi), with the spinor phases (1, (-1)^(N-1)): the mass
-entry z^N or zb^|N| turns by (-1)^N.  A Hermitian H that commutes with J is
-block diagonal in the J-even and J-odd combinations of the pairs
-(k, n^2 - 1 - k) (Fassler & Stiefel, Group Theoretical Methods and Their
-Applications (1992)).  Each block, on half the unknowns, is factored and
-solved as its own matrix: its factor stores less fill than the whole one,
-and a solve with it costs half as much.
+entry z^N or zb^|N| turns by (-1)^N.  A matrix of any other number of
+components is tested for the phase 1 on every component.  A Hermitian H
+that commutes with J is block diagonal in the J-even and J-odd
+combinations of the pairs (k, n^2 - 1 - k) (Fassler & Stiefel, Group
+Theoretical Methods and Their Applications (1992)).  Each block, on half
+the unknowns, is factored and solved as its own matrix: its factor stores
+less fill than the whole one, and a solve with it costs half as much.
 
 Every operator with real coefficients also commutes with the antiunitary
 T = R_y K, the mirror y -> -y followed by complex conjugation (T^2 = 1):
@@ -182,14 +183,15 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     A two-component matrix [[A, B], [B*, C]] with A == C and B = beta I,
     beta real, entry by entry (every diagonal entry of B equal, none off it,
     no imaginary part), commutes with the swap of its spinor components
-    (module docstring); A, B and C are read from the row ranges of the
-    symmetrized matrix.  Its sectors are A + beta and A - beta, the first
-    shifted by -2 beta, so only A + beta is solved: for k pairs, or for
-    ceil(k/2) when beta = 0 and the two sectors are the same matrix.  Each
-    pair (lambda, w) gives the candidates lambda with (w, w)/sqrt(2) and
-    lambda - 2 beta with (w, -w)/sqrt(2), and the k lowest are kept; at an
-    exact tie either copy may be kept.  Every other matrix, a two-component
-    one with any other coupling included, is one sector, solved as it is.
+    (module docstring); A, B and C are the slices [:n2, :n2], [:n2, n2:]
+    and [n2:, n2:] of the symmetrized matrix.  Its sectors are A + beta and
+    A - beta, the first shifted by -2 beta, so only A + beta is solved: for
+    k pairs, or for ceil(k/2) when beta = 0 and the two sectors are the same
+    matrix.  Each pair (lambda, w) gives the candidates lambda with
+    (w, w)/sqrt(2) and lambda - 2 beta with (w, -w)/sqrt(2), and the k
+    lowest are kept; at an exact tie either copy may be kept.  Every other
+    matrix, a two-component one with any other coupling included, is one
+    sector, solved as it is.
     ``sector_offset`` in the report is -2 beta, 0.0 for two identical
     sectors and null for one sector, and ``sector_pairs`` lists the pairs
     returned by each solve of it (below).  The residuals and their bound are
@@ -218,11 +220,12 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
 
     A sector that takes Lanczos is first split by its symmetries, decided
     by exact comparison (module docstring, ``_parity_forms``).  When it
-    commutes with the inversion J, with the phase 1 on the first component
-    and +1 or -1 on the second, its J-even and J-odd sectors are solved
-    each as its own matrix, for min(k, dim - 2) pairs of its own dimension
-    (ceil(k/2) in place of k for two identical swap sectors), one after the
-    other, and the k lowest pairs of the union are kept in a stable order.
+    commutes with the inversion J, with the phase 1 on every component, or
+    1 on the first and -1 on the second of two, its J-even and J-odd
+    sectors are solved each as its own matrix, for min(k, dim - 2) pairs of
+    its own dimension (ceil(k/2) in place of k for two identical swap
+    sectors), one after the other, and the k lowest pairs of the union are
+    kept in a stable order.
     One Lanczos run over the two blocks together could return too few
     copies of a level they share.  A sector without J (a defect off the
     grid's centre, say) is solved whole.  ``inversion_phase`` in the
@@ -350,37 +353,28 @@ def _swap_sector(herm: sp.csr_matrix, n2: int) -> Optional[tuple[sp.csr_matrix, 
     herm = [[A, B], [B*, C]] with C == A and B = beta I, beta real, entry by
     entry, or None for any other coupling.
 
-    A, B and C are read from the row ranges of herm, whose indices ascend in
-    each row: in the first n2 rows the columns below n2 are A's and the
-    others B's, in the last n2 rows the columns from n2 on are C's.
+    A, B and C are the slices herm[:n2, :n2], herm[:n2, n2:] and
+    herm[n2:, n2:]: C stores A's arrays, and B one entry per row, on the
+    diagonal, each equal to beta.
     """
-    indptr, indices, data = herm.indptr, herm.indices, herm.data
-    top = indptr[n2]
-    left, right = indices[:top] < n2, indices[top:] >= n2
-    a_ptr = _kept(indptr[:n2 + 1], left)
-    a_idx, a_dat = indices[:top][left], data[:top][left]
-    if not (np.array_equal(a_ptr, _kept(indptr[n2:] - top, right))
-            and np.array_equal(a_idx, indices[top:][right] - n2)
-            and np.array_equal(a_dat, data[top:][right])):
+    a, b = herm[:n2, :n2], herm[:n2, n2:]
+    if not _same(a, herm[n2:, n2:]):
         return None
-    b_dat = data[:top][~left]
-    beta = b_dat[0] if b_dat.size else 0.0
-    if b_dat.size and not (
-            (np.diff(indptr[:n2 + 1]) - np.diff(a_ptr) == 1).all()
-            and (indices[:top][~left] - n2 == np.arange(n2)).all()
-            and (b_dat == beta).all() and not b_dat.imag.any()):
+    beta = b.data[0] if b.nnz else 0.0
+    if b.nnz and not (np.array_equal(b.indptr, np.arange(n2 + 1))
+                      and np.array_equal(b.indices, np.arange(n2))
+                      and (b.data == beta).all() and not b.data.imag.any()):
         return None
     beta = float(beta.real)
-    sector = sp.csr_matrix((a_dat, a_idx, a_ptr), shape=(n2, n2))
     if beta:
-        sector = sector + beta * sp.identity(n2, format="csr")
-    return sector, 0.0 - 2.0 * beta  # 0.0, not -0.0, when beta = 0
+        a = a + beta * sp.identity(n2, format="csr")
+    return a, 0.0 - 2.0 * beta  # 0.0, not -0.0, when beta = 0
 
 
-def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Row pointers of the entries ``keep`` marks in rows that start at
-    ``indptr`` (counted from the first of them)."""
-    return np.concatenate(([0], np.cumsum(keep, dtype=indptr.dtype)))[indptr]
+def _same(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Whether two CSR matrices store the same arrays, entry by entry."""
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
 
 
 def _kron_sum(sector: sp.csr_matrix, grid: GridSpec
@@ -536,15 +530,16 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
 
     Both symmetries are read from S's data bitwise (module docstring).  The
     inversion J maps unknown c n^2 + k to c n^2 + n^2 - 1 - k, with the
-    phase 1 on the first component and sigma = +1 or -1 on the second: S
-    commutes with J when S[Ju, Jv] s_u s_v == S[u, v] for every entry.  The
-    mirror P maps node row j to n - 1 - j, and S commutes with T = P K when
-    conj(S[Pu, Pv]) == S[u, v].  A sector with no imaginary entry is real as
-    it stands and takes no T basis.  Within each component block of a row
-    J reverses the order of the columns, and the mirror x -> -x, P J, that
-    within each grid row, so the image of every entry is found by index
-    arithmetic (``_reversal``), and P as J after P J; a pattern that either
-    map does not keep is taken as no symmetry.
+    phase 1 on every component, or, for two components, 1 on the first and
+    -1 on the second: S commutes with J when S[Ju, Jv] s_u s_v == S[u, v]
+    for every entry.  The mirror P maps node row j to n - 1 - j, and S
+    commutes with T = P K when conj(S[Pu, Pv]) == S[u, v].  Each is decided
+    by comparing S with one permuted copy, S[perm][:, perm] with its indices
+    sorted, array by array (``_same``), so a pattern that the map does not
+    keep is no symmetry; for the phase -1 the copy's coupling blocks are
+    negated first.  T is checked for every sector with an imaginary entry,
+    whether J holds or not; a sector with no imaginary entry is real as it
+    stands and takes no T basis.
 
     With J, S splits into the even and the odd sector, one form each.  Its
     basis holds (e_l + p s_l e_Jl)/sqrt(2) for every lead l < Jl, p the
@@ -567,28 +562,27 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
     n, n2 = grid.n, grid.num_nodes
     unknown = np.arange(dim)
     comp, node = np.divmod(unknown, n2)
-    cols = sector.indices
     data = sector.data if sector.data.imag.any() else sector.data.real
-    entries = sp.csr_matrix((data, cols, sector.indptr), shape=sector.shape)
+    entries = sp.csr_matrix((data, sector.indices, sector.indptr), shape=sector.shape)
+
+    def permuted(perm):  # S[perm u, perm v] at (u, v)
+        copy = entries[perm][:, perm]
+        copy.sort_indices()
+        return copy
+
     inverted = comp * n2 + (n2 - 1 - node)
-    iy, ix = np.divmod(node, n)
-    flipped = comp * n2 + iy * n + (n - 1 - ix)  # J T K: the mirror x -> -x
-    at_inverted = _reversal(sector.indptr, cols, inverted, n2)
+    image = permuted(inverted)
     phases = None
-    if at_inverted is not None:
-        image = data[at_inverted]
-        if np.array_equal(image, data):
-            phases = [1, 1][:dim // n2]
-        elif dim // n2 == 2:  # -1 on the coupling blocks, which hold the components' ends
-            off = (cols >= n2) != (np.arange(cols.size) >= sector.indptr[n2])
-            if np.array_equal(image, np.where(off, -data, data)):
-                phases = [1, -1]
-    mirror = None
-    if np.iscomplexobj(data) and at_inverted is not None:
-        at_flipped = _reversal(sector.indptr, cols, flipped, n)
-        if (at_flipped is not None
-                and np.array_equal(data[at_inverted[at_flipped]], data.conj())):
-            mirror = inverted[flipped]
+    if _same(image, entries):
+        phases = [1] * (dim // n2)
+    elif dim // n2 == 2:  # -1 on the coupling blocks, which hold the components' ends
+        image.data[(image.indices >= n2) != (np.arange(image.nnz) >= image.indptr[n2])] *= -1
+        if _same(image, entries):
+            phases = [1, -1]
+    iy, ix = np.divmod(node, n)
+    mirror = comp * n2 + (n - 1 - iy) * n + ix
+    if not (np.iscomplexobj(data) and _same(permuted(mirror).conj(), entries)):
+        mirror = None
     if phases is None and mirror is None:
         return [(entries, None)], None
 
@@ -641,29 +635,6 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
         form.sort_indices()
         forms.append((form, basis))
     return forms, phases
-
-
-def _reversal(indptr: np.ndarray, cols: np.ndarray, perm: np.ndarray, block: int
-              ) -> Optional[np.ndarray]:
-    """Position of the image (perm r, perm c) of every entry (r, c) of a
-    canonical CSR pattern, for an involution perm that keeps each run of
-    equal c // block in its place in the row and reverses the order within
-    it (the inversion with block n^2, the mirror x -> -x with block n); None
-    when the pattern does not map onto itself."""
-    counts = np.diff(indptr)
-    if not np.array_equal(counts[perm], counts):
-        return None
-    nnz = cols.size
-    run = cols // block
-    new = np.empty(nnz, dtype=bool)
-    new[0:1] = True
-    np.not_equal(run[1:], run[:-1], out=new[1:])
-    new[indptr[:-1][counts > 0]] = True  # a row's first entry starts a run
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], nnz)
-    image = np.repeat(indptr[:-1][perm] - indptr[:-1], counts)
-    image += np.repeat(starts + ends - 1, ends - starts) - np.arange(nnz)
-    return image if np.array_equal(cols[image], perm[cols]) else None
 
 
 def mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,

@@ -371,7 +371,22 @@ _NO_KRON_CASES = {
     "N=2-m1-H_plus": (lambda grid: _block_set(monomial(1, pow_zbar=2),
                                               monomial(1, pow_z=2))(grid).H_plus_mat,
                       "over the bound", 2),
+    # the c = 0.3 H_minus with hops that break the inversion but keep the
+    # mirror-conjugation: one factorization, real in the T-invariant basis
+    "mirror-hops": (lambda grid: _with_mirror_hops(
+        build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat, grid), "untested", 1),
 }
+
+
+def _with_mirror_hops(mat, grid):
+    """mat with real hops of 1/8 from node 1 to node 4 of grid rows 2 and
+    n - 3 (the mirror images of each other), stored both ways; the
+    inversion maps them to nodes n - 2 and n - 5 of the other row."""
+    n = grid.n
+    ends = [(row * n + 1, row * n + 4) for row in (2, n - 3)]
+    rows = [u for u, v in ends] + [v for u, v in ends]
+    cols = [v for u, v in ends] + [u for u, v in ends]
+    return (mat + sp.csr_matrix(([0.125] * 4, (rows, cols)), shape=mat.shape)).tocsr()
 
 
 @pytest.mark.parametrize("case", list(_NO_KRON_CASES))
@@ -422,6 +437,9 @@ _INVERSION_CASES = {
     # diagonal is no Kronecker sum; its levels are exactly double
     "N=2-m1": (_block_set(monomial(1, pow_zbar=2), monomial(1, pow_z=2)), [1, -1], [1]),
     "anti-vortex-m1+2i": (_block_set(Z * crat(1, 2), ZBAR), [1, 1], [1, 1]),
+    # three components: the phase 1 on each
+    "three-components": (lambda grid: operator_set_from_block(BlockOperator.from_rows(
+        [[D, ZBAR, ZERO], [Z, DBAR, ZERO], [ZERO, ZERO, D]]), grid), [1, 1, 1], [1, 1, 1]),
 }
 
 
@@ -634,6 +652,42 @@ def test_non_scalar_coupling_is_one_sector(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     rep = low_spectrum(mat, 8, grid=grid, seed=1)
     assert (rep.sector_offset, rep.sector_pairs, len(calls)) == (None, [8], 1)
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+    assert max(rep.residuals) <= rep.residual_bound
+
+
+def _coupling(n2, case):
+    """A coupling B of the vortex H_minus that is not beta I: -I with a
+    Hermitian pair 1/4 at (0, 1) and (1, 0); -I with row 5's entry moved to
+    (4, 5), so row 4 holds two entries and row 5 none; or -I with rows 4
+    and 5 holding theirs at (4, 5) and (5, 4), one entry per row."""
+    rows, cols = list(range(n2)), list(range(n2))
+    if case == "pair":
+        rows, cols = rows + [0, 1], cols + [1, 0]
+    elif case == "moved":
+        rows[5] = 4
+    else:
+        cols[4], cols[5] = 5, 4
+    values = [-1.0] * n2 + [0.25] * (len(rows) - n2)
+    return sp.csr_matrix((values, (rows, cols)), shape=(n2, n2))
+
+
+@pytest.mark.parametrize("case", ["pair", "moved", "crossed"])
+def test_a_coupling_off_the_diagonal_is_one_sector(case):
+    # [[A, B], [B*, A]] with B = -I but for one pattern change: a pair of
+    # entries added (a row with two), an entry moved to another row (two in
+    # one row, none in the next), or two entries moved across the diagonal
+    # (one in each row, in the wrong column): no swap split, and the dense
+    # spectrum
+    grid = GridSpec(5.0, 24)
+    n2 = grid.num_nodes
+    upper = _sectors(grid)[0][:n2, :n2]
+    b = _coupling(n2, case)
+    assert b.nnz == {"pair": n2 + 2, "moved": n2, "crossed": n2}[case]
+    mat = sp.bmat([[upper, b], [b.getH(), upper]], format="csr")
+    exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    rep = low_spectrum(mat, 8, grid=grid)
+    assert rep.sector_offset is None
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
     assert max(rep.residuals) <= rep.residual_bound
 
