@@ -29,7 +29,9 @@ The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
 
 Monomials applied to Gaussian ansatz functions poly(z, zb) * exp(-a*|z|^2)
-stay inside that family; ``gaussian_apply`` performs the application exactly.
+stay inside that family; ``gaussian_apply`` performs the application exactly,
+carrying the polynomial through every Wirtinger step as Gaussian-integer
+numerators over one denominator and reducing each output coefficient once.
 """
 
 from __future__ import annotations
@@ -403,9 +405,6 @@ def adjoint(a):
 # Gaussian ansatz family: poly(z, zb) * exp(-alpha |z|^2)
 # ---------------------------------------------------------------------------
 
-PolyDict = dict[tuple[int, int], ComplexRational]
-
-
 @dataclass(frozen=True)
 class GaussianAnsatz:
     """poly(z, zb) * exp(-alpha*|z|^2) with exact rational data.
@@ -458,31 +457,53 @@ def gaussian(alpha: RationalLike,
     return GaussianAnsatz(as_fraction(alpha), tuple(kv for kv in items if not kv[1].is_zero))
 
 
-def _poly_wirtinger(p: PolyDict, alpha: Fraction, axis: int) -> PolyDict:
-    # d(p e^{-a z zb}) = (dp - a zb p) e^{-a z zb} for axis 0; axis 1 (db)
-    # swaps the roles of z and zb
-    down = (1, 0) if axis == 0 else (0, 1)
-    decay = -alpha
-    out: PolyDict = {}
-    for (i, j), c in p.items():
-        power = (i, j)[axis]
-        if power > 0:
-            _accumulate(out, (i - down[0], j - down[1]), c * power)
-        _accumulate(out, (i + down[1], j + down[0]), c * decay)
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
 def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
-    """Exact application of a normal-ordered expression to a Gaussian ansatz."""
-    acc: PolyDict = {}
-    for t in a.terms:
-        p = dict(f.poly)
-        for axis, power in ((0, t.pow_d), (1, t.pow_dbar)):
-            for _ in range(power):
-                p = _poly_wirtinger(p, f.alpha, axis)
-        for (i, j), v in p.items():
-            _accumulate(acc, (i + t.pow_z, j + t.pow_zbar), v * t.coeff)
-    return gaussian(f.alpha, acc)
+    """Exact application of a normal-ordered expression to a Gaussian ansatz.
+
+    d (p e^{-alpha z zb}) = (dp - alpha zb p) e^{-alpha z zb}, and db the
+    same with z and zb swapped.  The polynomial is carried through the
+    Wirtinger steps as Gaussian-integer numerators over one denominator:
+    with alpha = u/w, a step multiplies the numerators of dp by w and those
+    of zb p by -u, and the denominator by w.  Each derivative power of the
+    expression is taken once, from the power one step below it; all terms
+    are added as ints over one common denominator, and each output
+    coefficient is reduced once.
+    """
+    u, w = f.alpha.numerator, f.alpha.denominator
+    den = math.lcm(*(c._d for _, c in f.poly))
+    derived = {(0, 0): {k: (c._a * (den // c._d), c._b * (den // c._d)) for k, c in f.poly}}
+
+    def derivative(pd: int, pdb: int) -> dict[tuple[int, int], tuple[int, int]]:
+        # d^pd db^pdb p, over den * w^(pd + pdb)
+        p = derived.get((pd, pdb))
+        if p is None:
+            dz, dzb = (0, 1) if pdb else (1, 0)  # the last step: d, or db
+            acc: dict[tuple[int, int], list[int]] = {}
+            for (i, j), (re, im) in derivative(pd - dz, pdb - dzb).items():
+                # the step lowers the power it differentiates, and its decay
+                # factor raises the other one
+                for key, m in (((i - dz, j - dzb), (i * dz + j * dzb) * w),
+                               ((i + dzb, j + dz), -u)):
+                    if m:
+                        v = acc.setdefault(key, [0, 0])
+                        v[0] += re * m
+                        v[1] += im * m
+            p = derived[pd, pdb] = {key: (re, im) for key, (re, im) in acc.items() if re or im}
+        return p
+
+    terms = [(t, derivative(t.pow_d, t.pow_dbar), w ** (t.pow_d + t.pow_dbar) * t.coeff._d)
+             for t in a.terms]
+    common = math.lcm(*(scale for _, _, scale in terms))
+    acc: dict[tuple[int, int], list[int]] = {}
+    for t, p, scale in terms:
+        s = common // scale
+        ca, cb = t.coeff._a * s, t.coeff._b * s
+        for (i, j), (re, im) in p.items():
+            v = acc.setdefault((i + t.pow_z, j + t.pow_zbar), [0, 0])
+            v[0] += re * ca - im * cb
+            v[1] += re * cb + im * ca
+    return GaussianAnsatz(f.alpha, tuple((key, _reduced(re, im, den * common))
+                                         for key, (re, im) in sorted(acc.items()) if re or im))
 
 
 def block_gaussian_apply(a: BlockOperator,

@@ -32,7 +32,14 @@ that commutes with J is block diagonal in the J-even and J-odd
 combinations of the pairs (k, n^2 - 1 - k) (Fassler & Stiefel, Group
 Theoretical Methods and Their Applications (1992)).  Each block, on half
 the unknowns, is factored and solved as its own matrix: its factor stores
-less fill than the whole one, and a solve with it costs half as much.
+less fill than the whole one, and a solve with it costs half as much.  The
+union keeps only the k lowest, so the second block is asked only for its
+share, ceil(k/2) + 1 pairs (one more than an even split).  The share is
+certified from the levels: it stands when the largest level it returned is
+at least the k-th lowest of the union, as no level it did not return can
+then enter the k kept.  Otherwise the second block is solved again for k
+pairs from the factor it has.  ARPACK sizes its own Krylov space (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide (1998)).
 
 Every operator with real coefficients also commutes with the antiunitary
 T = R_y K, the mirror y -> -y followed by complex conjugation (T^2 = 1):
@@ -222,26 +229,35 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     by exact comparison (module docstring, ``_parity_forms``).  When it
     commutes with the inversion J, with the phase 1 on every component, or
     1 on the first and -1 on the second of two, its J-even and J-odd
-    sectors are solved each as its own matrix, for min(k, dim - 2) pairs of
-    its own dimension (ceil(k/2) in place of k for two identical swap
-    sectors), one after the other, and the k lowest pairs of the union are
-    kept in a stable order.
+    sectors are solved each as its own matrix, one after the other, and the
+    k lowest pairs of the union are kept in a stable order (ceil(k/2) in
+    place of k here and below for two identical swap sectors).  The even
+    sector is asked for min(k, dim - 2) pairs of its own dimension, the odd
+    one only for min(k, ceil(k/2) + 1, dim - 2).  That budget stands when
+    the odd sector returned every pair it could, or when its largest
+    returned eigenvalue is at least the k-th lowest of the union: every
+    level it did not return is then at least as large, so none enters the
+    k kept.  Otherwise the odd sector is solved again, for min(k, dim - 2)
+    pairs, from the same factor and start vector (``_shift_invert``).
     One Lanczos run over the two blocks together could return too few
     copies of a level they share.  A sector without J (a defect off the
-    grid's centre, say) is solved whole.  ``inversion_phase`` in the
-    report is the phases of the solved sector's components ([1] for a
-    scalar sector), null when it was not split, and ``sector_pairs`` holds
-    one entry per solve.
+    grid's centre, say) is solved whole, for min(k, dim - 2) pairs.
+    ``inversion_phase`` in the report is the phases of the solved sector's
+    components ([1] for a scalar sector), null when it was not split, and
+    ``sector_pairs`` holds one entry per solved matrix: the pairs its last
+    Lanczos run returned.
 
     Each matrix solved, minus sigma, is factored once by ``_factor``:
     SuperLU without pivoting, in symmetric mode, with the minimum-degree
     ordering on the pattern of A^T + A, in the matrix's own dtype.  Every shift-invert
     step is a solve with that factor, and the factor is freed before the
-    next sector is factored.  A factor that fails a check (a zero pivot, an
-    exactly singular matrix, as with an eigenvalue at sigma, or an unstable
-    solve) raises SolverError naming it.  The report records the ordering,
-    and the L+U entries SuperLU stores (``lu_fill``) and the solves, each
-    summed over the sectors' solves.
+    next sector is factored.  ARPACK sizes its own Krylov space, ``eigsh``'s
+    default of min(dim, max(2 k + 1, 20)) vectors for a run asked for k
+    pairs.  A factor that fails a check (a zero pivot, an exactly singular
+    matrix, as with an eigenvalue at sigma, or an unstable solve) raises
+    SolverError naming it.  The report records the ordering, and the L+U
+    entries SuperLU stores (``lu_fill``) and the solves, each summed over
+    the matrices solved; the solves of a run made again are included.
 
     Each matrix is solved in real arithmetic when it allows it: as it
     stands when it has no imaginary entry, and in a basis of T-invariant
@@ -298,7 +314,6 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
         real = not np.iscomplexobj(vecs)
     else:
         rng = np.random.default_rng(seed)
-        ncv = max(4 * min(k, dim - 2), 40)
         forms, phases = _parity_forms(sector, grid)
         del sector, kron
         vals, vecs, sector_pairs = [], [], []
@@ -306,7 +321,8 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
         real = True
         for form, basis in forms:
             real = real and not np.iscomplexobj(form)
-            f_vals, f_vecs, fill, solves = _shift_invert(form, wanted, rng, ncv, matrix_id)
+            f_vals, f_vecs, fill, solves = _shift_invert(
+                form, wanted, rng, matrix_id, np.concatenate(vals) if vals else None)
             vals.append(f_vals)
             vecs.append(f_vecs if basis is None else basis @ f_vecs)
             sector_pairs.append(f_vals.size)
@@ -451,19 +467,32 @@ def _lowest_levels(t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sla.eig_banded(band, select="i", select_range=(0, min(k, n) - 1))
 
 
-def _shift_invert(form: sp.csr_matrix, k: int, rng: np.random.Generator, ncv: int,
-                  matrix_id: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _shift_invert(form: sp.csr_matrix, k: int, rng: np.random.Generator, matrix_id: str,
+                  solved: Optional[np.ndarray] = None
+                  ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """min(k, dim - 2) lowest eigenpairs of one Hermitian sector form (one
-    that ``_parity_forms`` gives) by shift-invert Lanczos.
+    that ``_parity_forms`` gives) by shift-invert Lanczos, or, given the
+    levels ``solved`` of the sector's other form, as many as the k lowest of
+    the union need.
 
-    Returns the eigenvalues, the eigenvectors as columns in the form's own
-    basis, the L+U fill and the number of solves.  The factor is local, so
-    it is freed before the next sector is factored.
+    With ``solved``, the form is asked first for min(k, ceil(k/2) + 1)
+    pairs, one more than an even split of the k.  That budget stands when
+    the form returned every pair it could, or when its largest returned
+    eigenvalue is at least the k-th lowest of the union of ``solved`` and
+    the returned levels: every level it did not return is then at least as
+    large, so none enters the k kept (at an exact tie either copy may be
+    kept).  Otherwise the same factor and start vector solve the form again
+    for min(k, dim - 2) pairs.  ARPACK sizes its own Krylov space
+    (``eigsh``'s default, min(dim, max(2 k + 1, 20)) vectors).
+
+    Returns the eigenvalues and eigenvectors, as columns in the form's own
+    basis, of its last Lanczos run, the L+U fill and the number of solves
+    of both runs.  The factor is local, so it is freed before the next
+    sector is factored.
     """
     dim = form.shape[0]
     k_eff = min(k, dim - 2)
     v0 = rng.standard_normal(dim)
-    ncv = min(dim, ncv)
     lu, failed = _factor(form, SHIFT)
     if lu is None:
         raise SolverError(f"{matrix_id or 'matrix'}: the pivot-free factorization at "
@@ -477,15 +506,23 @@ def _shift_invert(form: sp.csr_matrix, k: int, rng: np.random.Generator, ncv: in
         return lu.solve(x)
 
     op_inv = spla.LinearOperator((dim, dim), matvec=solve, dtype=form.dtype)
-    try:
-        vals, vecs = spla.eigsh(form, k=k_eff, sigma=SHIFT, which="LM",
-                                v0=v0, ncv=ncv, OPinv=op_inv)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(
-            f"eigensolver did not converge on {matrix_id or 'matrix'}: "
-            f"{len(exc.eigenvalues)}/{k_eff} pairs",
-            matrix_id=matrix_id, requested=k_eff,
-            converged=len(exc.eigenvalues)) from exc
+
+    def lanczos(pairs):
+        try:
+            return spla.eigsh(form, k=pairs, sigma=SHIFT, which="LM", v0=v0, OPinv=op_inv)
+        except spla.ArpackNoConvergence as exc:
+            raise SolverError(
+                f"eigensolver did not converge on {matrix_id or 'matrix'}: "
+                f"{len(exc.eigenvalues)}/{pairs} pairs",
+                matrix_id=matrix_id, requested=pairs,
+                converged=len(exc.eigenvalues)) from exc
+
+    budget = k_eff if solved is None else min(k_eff, -(-k // 2) + 1)
+    vals, vecs = lanczos(budget)
+    if budget < k_eff:
+        union = np.sort(np.concatenate((solved, vals)))
+        if union.size < k or vals.max() < union[k - 1]:
+            vals, vecs = lanczos(k_eff)
     return vals, vecs, int(lu.nnz), n_solves
 
 

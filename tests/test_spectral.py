@@ -474,6 +474,64 @@ def test_inversion_sectors_match_the_dense_spectrum(monkeypatch, case, n):
             assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(8))) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("case", list(_INVERSION_CASES))
+def test_inversion_sectors_keep_every_copy_at_every_k(case, n):
+    # the odd form is asked only for its share of the k lowest and ARPACK
+    # sizes its own Krylov space, at every k where that share is smaller
+    # than k: neither may drop a copy of a degenerate level
+    grid = GridSpec(5.0, n)
+    op_set = _INVERSION_CASES[case][0](grid)
+    for name in ("H_minus_mat", "H_plus_mat"):
+        mat = getattr(op_set, name)
+        dense = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())
+        for k in range(4, 8):
+            exact = dense[:k]
+            for seed in range(2):
+                rep = low_spectrum(mat, k, grid=grid, matrix_id=name, seed=seed)
+                assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+                assert [_copies(rep.eigenvalues, lam) for lam in exact] == \
+                    [_copies(exact, lam) for lam in exact]
+
+
+def _laplacian_plus_inversion(grid, c):
+    """A scalar grid Laplacian plus c J, J the inversion of the nodes: a sum
+    over the pairs (l, Jl) of c (e_l e_Jl^T + e_Jl e_l^T), and c on the
+    centre node of an odd grid.  It moves every J-odd level by -c and every
+    J-even one by +c.  No entry of J is a grid hop, so the sector takes
+    Lanczos, split by the inversion with the phase 1."""
+    n, n2 = grid.n, grid.num_nodes
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) / (4 * grid.h ** 2)
+    node = np.arange(n2)
+    return (sp.kronsum(t, t) + sp.csr_matrix((np.full(n2, c), (node, n2 - 1 - node)))).tocsr()
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_a_short_odd_budget_is_solved_again_from_its_factor(monkeypatch, n):
+    # the odd form is asked for 5 of the 8 pairs.  With c = 0.1 it holds 6
+    # of the 8 lowest levels, so its fifth lies below the union's eighth, the
+    # budget is refused, and the odd form is solved again for 8 pairs from
+    # the factor it has; with c = -0.1 it holds at most 4 and the 5 stand
+    grid = GridSpec(5.0, n)
+    calls = _count_factorizations(monkeypatch)
+    solves = {}
+    for c, pairs in ((0.1, [8, 8]), (-0.1, [8, 5])):
+        mat = _laplacian_plus_inversion(grid, c)
+        exact = np.linalg.eigvalsh(mat.toarray())[:8]
+        odd = np.linalg.eigvalsh(spectral._parity_forms(mat, grid)[0][1][0].toarray())
+        held = np.count_nonzero(odd <= exact[-1] + 1e-12)
+        assert held >= 6 if c > 0 else held <= 4
+        for seed in range(2):
+            del calls[:]
+            rep = low_spectrum(mat, 8, grid=grid, seed=seed)
+            assert (rep.sector_pairs, rep.inversion_phase, len(calls)) == (pairs, [1], 2)
+            assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
+            assert [_copies(rep.eigenvalues, lam) for lam in exact] == \
+                [_copies(exact, lam) for lam in exact]
+            solves[c, seed] = rep.n_solves
+    assert all(solves[0.1, seed] > solves[-0.1, seed] for seed in range(2))
+
+
 @pytest.mark.parametrize("n", [8, 9])
 @pytest.mark.parametrize("case", list(_INVERSION_CASES) + ["off-centre"])
 def test_parity_forms_are_unitary_reductions(case, n):
