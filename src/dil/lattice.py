@@ -28,6 +28,11 @@ square the wide first-difference stencil, whose sawtooth conjugation
 symmetry (S D1 S = -D1 with S = diag((-1)^k)) makes every low eigenvalue of
 the partner Hamiltonians exactly doubly degenerate per axis; the compact
 expansion is what keeps the zero-mode count physical.
+
+W(c, c) and the multiplier of z^a zb^a, formed as (x^2 + y^2)^a, are real
+with no round-off imaginary part, so an operator whose every term is real
+is stored as a float64 matrix, and every later sparse pass over it moves
+half the bytes of a complex one.
 """
 
 from __future__ import annotations
@@ -189,7 +194,12 @@ def _axis_power(grid: GridSpec, p: int) -> sp.csr_matrix:
 
 @lru_cache(maxsize=None)
 def _wirtinger_matrix(grid: GridSpec, pow_d: int, pow_dbar: int) -> sp.csr_matrix:
-    """Sparse realization of d^c db^d on the n^2 nodes."""
+    """Sparse realization of d^c db^d on the n^2 nodes.
+
+    Stored as float64 when none of its entries is imaginary (d^c db^c, a
+    power of the Laplacian, whose imaginary binomial terms cancel exactly),
+    as complex128 otherwise.
+    """
     n = grid.n
     eye = sp.identity(n, format="csr")
     total = sp.csr_matrix((grid.num_nodes, grid.num_nodes), dtype=complex)
@@ -203,22 +213,45 @@ def _wirtinger_matrix(grid: GridSpec, pow_d: int, pow_dbar: int) -> sp.csr_matri
             total = total + coeff * sp.kron(_axis_power(grid, py),
                                             _axis_power(grid, px), format="csr")
     total = total.tocsr()
+    if not total.data.imag.any():
+        total = total.real
     total.sort_indices()
     return total
 
 
+def _multiplier(zs: np.ndarray, pow_z: int, pow_zbar: int) -> np.ndarray:
+    """z^a zb^b at the nodes zs, as (x^2 + y^2)^min(a, b) times the leftover
+    power of z or zb: float64, with no round-off imaginary part, when a == b."""
+    common = min(pow_z, pow_zbar)
+    mult = (zs.real ** 2 + zs.imag ** 2) ** common
+    if pow_z > common:
+        return mult * zs ** (pow_z - common)
+    if pow_zbar > common:
+        return mult * np.conj(zs) ** (pow_zbar - common)
+    return mult
+
+
 def discretize_expression(e: OperatorExpression, grid: GridSpec) -> sp.csr_matrix:
-    """Sparse matrix of one scalar operator expression on the grid."""
-    n2 = grid.num_nodes
+    """Sparse matrix of one scalar operator expression on the grid.
+
+    Each term is its Wirtinger stencil with every row scaled by the
+    multiplier at its node (``_multiplier``) and by the coefficient, taken
+    as a float when its imaginary part is zero.  The terms are summed from
+    the first one, so the matrix is float64 when every term is real and
+    complex128 otherwise; an expression with no term gives an empty float64
+    matrix.
+    """
     zs = grid.nodes()
-    out = sp.csr_matrix((n2, n2), dtype=complex)
-    for t in e.terms:
+    out = sp.csr_matrix((grid.num_nodes, grid.num_nodes))
+    for i, t in enumerate(e.terms):
         mat = _wirtinger_matrix(grid, t.pow_d, t.pow_dbar)
         if t.pow_z or t.pow_zbar:  # each row times the multiplier at its node
-            mult = zs ** t.pow_z * np.conj(zs) ** t.pow_zbar
+            mult = _multiplier(zs, t.pow_z, t.pow_zbar)
             mat = sp.csr_matrix((mat.data * np.repeat(mult, np.diff(mat.indptr)),
                                  mat.indices, mat.indptr), shape=mat.shape)
-        out = out + complex(t.coeff) * mat
+        coeff = complex(t.coeff)
+        term = (coeff if coeff.imag else coeff.real) * mat
+        out = out + term if i else term
     out = out.tocsr()
     out.sort_indices()
     return out
@@ -233,7 +266,14 @@ def max_abs(m) -> float:
 
 
 def discretize(op: BlockOperator, grid: GridSpec) -> sp.csr_matrix:
-    """Sparse matrix of a block operator; blocks are assembled row-major."""
+    """Sparse matrix of a block operator; blocks are assembled row-major.
+
+    The dtype is decided by the terms, with no setting: float64 when every
+    term of every block is real (the unperturbed partners, say), so that no
+    entry is imaginary, and complex128 when any term is not (a Wirtinger
+    stencil d^c db^d with c != d, a coefficient with an imaginary part or a
+    multiplier z^a zb^b with a != b, as in every entry of D).
+    """
     blocks = [[discretize_expression(op.entry(i, j), grid)
                for j in range(op.cols)] for i in range(op.rows)]
     out = sp.bmat(blocks, format="csr")

@@ -50,8 +50,11 @@ P conj(H) P = H.  T commutes with J, so it maps each J block to itself, and
 such a block is real symmetric in a basis of T-invariant vectors built from
 mirror pairs (Wigner): its spectrum comes from a real factorization and
 real symmetric Lanczos, at half the storage and a fraction of the
-arithmetic of the complex ones.  A matrix with no imaginary entry, such as
-the unperturbed model, is real symmetric as it stands.
+arithmetic of the complex ones.  A matrix with no imaginary entry is real
+symmetric as it stands: the unperturbed partners come from
+:func:`dil.lattice.discretize` as float64, and every pass over them, from
+the symmetrization to the residual check, runs in float64; a complex128
+matrix with no imaginary entry is solved in the same real arithmetic.
 
 ``low_spectrum`` decides both symmetries from the data exactly, entry by
 entry, with no threshold, and only for a sector that takes Lanczos.  A
@@ -259,6 +262,9 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     entries SuperLU stores (``lu_fill``) and the solves, each summed over
     the matrices solved; the solves of a run made again are included.
 
+    The matrix is worked on in the dtype it is given: a float64 matrix
+    (``discretize`` gives one for an operator with no imaginary entry) is
+    symmetrized, split, tested and multiplied in float64, with no upcast.
     Each matrix is solved in real arithmetic when it allows it: as it
     stands when it has no imaginary entry, and in a basis of T-invariant
     vectors when P conj(S) P equals S bitwise, P the mirror of node rows.

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dil import (BlockOperator, Field, GridSpec, ZeroFieldError, adjoint,
-                 crat, discretize, field_to_csv, gaussian, gaussian_apply,
-                 localization_fraction, monomial, sample)
-from dil.lattice import discretize_expression, max_abs
+from dil import (BlockOperator, Field, GridSpec, ModelSpec, ZeroFieldError, adjoint,
+                 build_operator_set, crat, discretize, field_to_csv, gaussian,
+                 gaussian_apply, localization_fraction, monomial,
+                 operator_set_from_block, sample)
+from dil.lattice import (_axis_power, _multiplier, _wirtinger_matrix,
+                         discretize_expression, max_abs)
 from dil.opcalc import D, DBAR, Z, ZBAR, OperatorExpression, OperatorTerm
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
@@ -227,6 +229,91 @@ def test_discretization_bridges_to_symbolic_application_at_order_two():
             hs.append(g.h)
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.6 <= order <= 2.6, f"{e}: fitted order {order:.2f}"
+
+
+def _complex_reference(op, grid):
+    """The matrix of op assembled in complex arithmetic throughout, each
+    multiplier z^a zb^b formed as the product of the powers z^a and zb^b."""
+    zs = grid.nodes()
+    blocks = []
+    for i in range(op.rows):
+        row = []
+        for j in range(op.cols):
+            out = sp.csr_matrix((grid.num_nodes, grid.num_nodes), dtype=complex)
+            for t in op.entry(i, j).terms:
+                mult = zs ** t.pow_z * np.conj(zs) ** t.pow_zbar
+                stencil = _wirtinger_matrix(grid, t.pow_d, t.pow_dbar).astype(complex)
+                out = out + complex(t.coeff) * (sp.diags(mult) @ stencil)
+            row.append(out)
+        blocks.append(row)
+    return sp.bmat(blocks, format="csr")
+
+
+_DTYPE_CASES = {
+    # operator of a grid, and whether discretize stores it as float64
+    "vortex-c0 H_minus": (lambda g: build_operator_set(ModelSpec(), g).H_minus, True),
+    "vortex-c0 H_plus": (lambda g: build_operator_set(ModelSpec(), g).H_plus, True),
+    "anti-vortex-m1 H_minus": (lambda g: operator_set_from_block(
+        BlockOperator.from_rows([[D, Z], [ZBAR, DBAR]]), g).H_minus, True),
+    "anti-vortex-m1 H_plus": (lambda g: operator_set_from_block(
+        BlockOperator.from_rows([[D, Z], [ZBAR, DBAR]]), g).H_plus, True),
+    "z^2 zb^2": (lambda g: _block1(monomial(1, pow_z=2, pow_zbar=2)), True),
+    "vortex-c0 D": (lambda g: build_operator_set(ModelSpec(), g).D, False),
+    "vortex-c0.3 H_minus": (
+        lambda g: build_operator_set(ModelSpec(epsilon="0.3"), g).H_minus, False),
+    "vortex-c0.3 H_plus": (
+        lambda g: build_operator_set(ModelSpec(epsilon="0.3"), g).H_plus, False),
+    "z d": (lambda g: _block1(Z * D), False),
+    "(1+2i) d db": (lambda g: _block1(D * DBAR * crat(1, 2)), False),
+}
+
+
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("case", list(_DTYPE_CASES))
+def test_discretize_is_real_exactly_when_no_entry_is_imaginary(case, n):
+    # a block operator whose every term is real (d^c db^c stencils, real
+    # coefficients, z^a zb^a multipliers) is stored as float64, any other as
+    # complex128; every entry is that of the complex build, whose imaginary
+    # parts are round-off in the real cases, to a few ulps of the largest
+    build, real = _DTYPE_CASES[case]
+    grid = GridSpec(5.0, n)
+    op = build(grid)
+    mat, ref = discretize(op, grid), _complex_reference(op, grid)
+    assert mat.dtype == (np.float64 if real else np.complex128)
+    scale = max_abs(ref)
+    ulps = 4.0 * np.finfo(float).eps * scale
+    assert (max_abs(ref.imag) > ulps) != real
+    assert max_abs(mat - ref) <= ulps
+    assert mat.has_sorted_indices
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_the_multiplier_of_z_a_zb_a_is_real(power):
+    # (x^2 + y^2)^a, with no round-off imaginary part, where z^a * zb^a
+    # leaves one; a leftover power of z or zb stays complex
+    zs = GridSpec(5.0, 25).nodes()
+    mult = _multiplier(zs, power, power)
+    product = zs ** power * np.conj(zs) ** power
+    assert mult.dtype == np.float64
+    assert np.abs(mult - product).max() <= 4.0 * np.finfo(float).eps * np.abs(product).max()
+    for a, b in ((power + 1, power), (power, power + 2)):
+        mixed = _multiplier(zs, a, b)
+        assert mixed.dtype == np.complex128
+        exact = zs ** a * np.conj(zs) ** b
+        assert np.abs(mixed - exact).max() <= 8.0 * np.finfo(float).eps * np.abs(exact).max()
+
+
+def test_wirtinger_stencils_are_real_exactly_when_c_equals_d():
+    # d^c db^c is (Laplacian / 4)^c: its imaginary binomial terms cancel
+    # exactly, and d db is the sum of the two axis second differences / 4
+    g = GridSpec(5.0, 24)
+    for c in range(3):
+        for d in range(3):
+            assert _wirtinger_matrix(g, c, d).dtype == (np.float64 if c == d
+                                                        else np.complex128)
+    eye = sp.identity(g.n, format="csr")
+    laplacian = (sp.kron(eye, _axis_power(g, 2)) + sp.kron(_axis_power(g, 2), eye)) * 0.25
+    assert (_wirtinger_matrix(g, 1, 1) != laplacian).nnz == 0
 
 
 def test_norms_invariant_under_quarter_rotation():

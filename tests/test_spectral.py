@@ -210,17 +210,19 @@ _REAL_FORM_CASES = {
 def test_real_arithmetic_matches_the_complex_spectrum(n, case, name):
     # real coefficients make the matrix symmetric under the reflection
     # y -> -y with complex conjugation, so it is solved as a real symmetric
-    # matrix: as it stands when it has no imaginary entry (c = 0, m = 1),
-    # in the mirror-pair basis otherwise, where odd n adds the self-mirror
-    # row y = 0.  The reference is the dense spectrum of the complex
-    # Hermitian matrix itself.  Only the partners with a unit mass
-    # multiplier (c = 0, m = 1) commute with the swap of the spinor
-    # components and split into two sectors.
+    # matrix: as it stands when it has no imaginary entry (c = 0, m = 1,
+    # which discretize stores as float64), in the mirror-pair basis
+    # otherwise, where odd n adds the self-mirror row y = 0.  The reference
+    # is the dense spectrum of the complex Hermitian matrix.  Only the
+    # partners with a unit mass multiplier (c = 0, m = 1) commute with the
+    # swap of the spinor components and split into two sectors.
     build, arithmetic, split = _REAL_FORM_CASES[case]
     grid = GridSpec(5.0, n)
     mat = getattr(build(grid), name)
-    assert np.iscomplexobj(mat)
-    exact = np.linalg.eigvalsh(((mat + mat.getH()) * 0.5).toarray())[:8]
+    assert mat.dtype == (np.float64 if case in ("vortex-c0", "anti-vortex-m1")
+                         else np.complex128)
+    herm = mat.astype(complex)
+    exact = np.linalg.eigvalsh(((herm + herm.getH()) * 0.5).toarray())[:8]
     for seed in range(3):
         rep = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=seed)
         assert rep.arithmetic == arithmetic
@@ -229,6 +231,50 @@ def test_real_arithmetic_matches_the_complex_spectrum(n, case, name):
         assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
         assert max(rep.residuals) <= rep.residual_bound
     assert low_spectrum(mat, 8, grid=grid).arithmetic == arithmetic
+
+
+@pytest.mark.parametrize("case", ["vortex-c0", "anti-vortex-m1", "N=2-m1"])
+@pytest.mark.parametrize("n", [24, 25])
+def test_a_float64_matrix_solves_as_its_complex_cast(monkeypatch, case, n):
+    # the partners with no imaginary entry are stored as float64, and every
+    # decision of low_spectrum is read from the data, so their complex128
+    # cast takes the same path: the unperturbed Kronecker sums, and the
+    # N = 2 H_plus, whose |z|^4 diagonal takes the inversion split and
+    # Lanczos.  The float64 matrix is never upcast on the way to the
+    # Kronecker test or the factorization.  Both are exactly symmetric: the
+    # z zb round-off is gone
+    build = (_block_set(monomial(1, pow_zbar=2), monomial(1, pow_z=2)) if case == "N=2-m1"
+             else _REAL_FORM_CASES[case][0])
+    grid = GridSpec(5.0, n)
+    op_set = build(grid)
+    names = ("H_plus_mat",) if case == "N=2-m1" else ("H_minus_mat", "H_plus_mat")
+    for name in names:
+        mat = getattr(op_set, name)
+        assert mat.dtype == np.float64
+        seen, kron_sum, factor = [], spectral._kron_sum, spectral._factor
+        monkeypatch.setattr(spectral, "_kron_sum",
+                            lambda sector, grid: seen.append(sector.dtype) or kron_sum(sector, grid))
+        monkeypatch.setattr(spectral, "_factor",
+                            lambda form, shift: seen.append(form.dtype) or factor(form, shift))
+        real = low_spectrum(mat, 8, grid=grid, matrix_id=name, seed=1)
+        assert seen and set(seen) == {np.dtype(np.float64)}
+        monkeypatch.undo()
+        cast = low_spectrum(mat.astype(complex), 8, grid=grid, matrix_id=name, seed=1)
+        for key in ("arithmetic", "sector_offset", "sector_pairs", "kron_defect",
+                    "inversion_phase", "ordering"):
+            assert getattr(real, key) == getattr(cast, key), key
+        assert real.arithmetic == "real"
+        assert (real.kron_defect is None) == (case == "N=2-m1")
+        assert real.hermiticity_defect == cast.hermiticity_defect == 0.0
+        assert np.max(np.abs(np.subtract(real.eigenvalues, cast.eigenvalues))) \
+            <= real.residual_bound
+        assert max(real.residuals) <= real.residual_bound
+
+
+def test_the_unperturbed_desk_partners_are_exactly_hermitian(desk_index):
+    # n = 96: no z zb round-off is left to make A differ from A*
+    for rep in (desk_index.minus_report, desk_index.plus_report):
+        assert rep.hermiticity_defect == 0.0
 
 
 _SWAP_CASES = {
