@@ -173,7 +173,8 @@ class EigenReport:
 
 def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
                  seed: int = 0) -> EigenReport:
-    """k smallest eigenpairs of a Hermitian matrix on the grid.
+    """k smallest eigenpairs of a Hermitian matrix on the grid, k an integer
+    of at least 1 (not a bool; ValueError otherwise).
 
     The matrix is first brought to canonical form (sorted indices, every
     duplicate entry summed; on a copy, so the caller's matrix is left as it
@@ -191,8 +192,8 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     symmetrized matrix, from one product of that matrix with all vectors.
 
     A two-component matrix [[A, B], [B*, C]] with A == C and B = beta I,
-    beta real, entry by entry (every diagonal entry of B equal, none off it,
-    no imaginary part), commutes with the swap of its spinor components
+    beta real, entry by entry (each decided by one comparison of the stored
+    arrays, ``_swap_sector``), commutes with the swap of its spinor components
     (module docstring); A, B and C are the slices [:n2, :n2], [:n2, n2:]
     and [n2:, n2:] of the symmetrized matrix.  Its sectors are A + beta and
     A - beta, the first shifted by -2 beta, so only A + beta is solved: for
@@ -264,9 +265,11 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
 
     The matrix is worked on in the dtype it is given: a float64 matrix
     (``discretize`` gives one for an operator with no imaginary entry) is
-    symmetrized, split, tested and multiplied in float64, with no upcast.
-    Each matrix is solved in real arithmetic when it allows it: as it
-    stands when it has no imaginary entry, and in a basis of T-invariant
+    symmetrized, split, tested and multiplied in float64, with no upcast.  A
+    complex symmetrized matrix with no imaginary entry is replaced by its
+    real part once, so every later pass, the residual check included, runs
+    in float64 too.  Each matrix is solved in real arithmetic when it allows
+    it: as it stands when it is real, and in a basis of T-invariant
     vectors when P conj(S) P equals S bitwise, P the mirror of node rows.
     The eigenvectors are mapped back through that basis.  A matrix with no
     imaginary entry does not take the T basis: there it splits exactly into
@@ -276,6 +279,7 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     returns them all.  ``arithmetic`` in the report is "real" when the
     solves ran in real arithmetic.
     """
+    _check_k(k)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
     dim = a.shape[0]
@@ -300,6 +304,8 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
         herm = a + adj
     herm.data *= 0.5
     herm.eliminate_zeros()
+    if np.iscomplexobj(herm) and not herm.data.imag.any():
+        herm = herm.real  # real symmetric as it stands, so solved in float64
     del a, adj
 
     sector, offset = herm, None
@@ -376,21 +382,17 @@ def _swap_sector(herm: sp.csr_matrix, n2: int) -> Optional[tuple[sp.csr_matrix, 
     entry, or None for any other coupling.
 
     A, B and C are the slices herm[:n2, :n2], herm[:n2, n2:] and
-    herm[n2:, n2:]: C stores A's arrays, and B one entry per row, on the
-    diagonal, each equal to beta.
+    herm[n2:, n2:].  Each test is one ``_same`` comparison: C with A, and a
+    nonempty B with beta I, beta the real part of B's first entry, so an
+    entry of B off the diagonal, a diagonal entry missing or unequal, or an
+    imaginary part fails it.  An empty B is beta = 0.
     """
     a, b = herm[:n2, :n2], herm[:n2, n2:]
-    if not _same(a, herm[n2:, n2:]):
+    beta = float(b.data[0].real) if b.nnz else 0.0
+    shift = beta * sp.identity(n2, dtype=herm.dtype, format="csr")
+    if not (_same(a, herm[n2:, n2:]) and (not b.nnz or _same(b, shift))):
         return None
-    beta = b.data[0] if b.nnz else 0.0
-    if b.nnz and not (np.array_equal(b.indptr, np.arange(n2 + 1))
-                      and np.array_equal(b.indices, np.arange(n2))
-                      and (b.data == beta).all() and not b.data.imag.any()):
-        return None
-    beta = float(beta.real)
-    if beta:
-        a = a + beta * sp.identity(n2, format="csr")
-    return a, 0.0 - 2.0 * beta  # 0.0, not -0.0, when beta = 0
+    return (a + shift if beta else a), 0.0 - 2.0 * beta  # 0.0, not -0.0, when beta = 0
 
 
 def _same(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -411,11 +413,10 @@ def _kron_sum(sector: sp.csr_matrix, grid: GridSpec
     or in T_y, the block of grid column 0; with every entry found there,
     n times as many x-hops (y-hops) as grid row 0 (column 0) holds means
     every grid row (column) holds all of them.  T_y is returned less
-    d[0, 0]; both are dense, and real when S has no imaginary entry.
+    d[0, 0]; both are dense, in S's dtype.
     """
     n = grid.n
     rows = np.repeat(np.arange(n * n, dtype=sector.indices.dtype), np.diff(sector.indptr))
-    data = sector.data if sector.data.imag.any() else sector.data.real
     ry, rx = np.divmod(rows, n)
     cy, cx = np.divmod(sector.indices, n)
     x_hop, y_hop = ry == cy, rx == cx
@@ -425,16 +426,16 @@ def _kron_sum(sector: sp.csr_matrix, grid: GridSpec
     x_hop ^= on_diag
     y_hop ^= on_diag
     in_tx, in_ty = (ry == 0) & (cy == 0), (rx == 0) & (cx == 0)
-    tx, ty = np.zeros((n, n), dtype=data.dtype), np.zeros((n, n), dtype=data.dtype)
-    tx[rx[in_tx], cx[in_tx]] = data[in_tx]
-    ty[ry[in_ty], cy[in_ty]] = data[in_ty]
+    tx, ty = np.zeros((n, n), dtype=sector.dtype), np.zeros((n, n), dtype=sector.dtype)
+    tx[rx[in_tx], cx[in_tx]] = sector.data[in_tx]
+    ty[ry[in_ty], cy[in_ty]] = sector.data[in_ty]
     if (np.count_nonzero(x_hop) != n * np.count_nonzero(x_hop & in_tx)
             or np.count_nonzero(y_hop) != n * np.count_nonzero(y_hop & in_ty)
-            or (data[x_hop] != np.take(tx, (rx * n + cx)[x_hop])).any()
-            or (data[y_hop] != np.take(ty, (ry * n + cy)[y_hop])).any()):
+            or (sector.data[x_hop] != np.take(tx, (rx * n + cx)[x_hop])).any()
+            or (sector.data[y_hop] != np.take(ty, (ry * n + cy)[y_hop])).any()):
         return None
     d = np.zeros(n * n)
-    d[rows[on_diag]] = data[on_diag].real
+    d[rows[on_diag]] = sector.data[on_diag].real
     d = d.reshape(n, n)
     defect = float(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0]).max())
     return ty - d[0, 0] * np.eye(n), tx, defect
@@ -580,9 +581,9 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
     by comparing S with one permuted copy, S[perm][:, perm] with its indices
     sorted, array by array (``_same``), so a pattern that the map does not
     keep is no symmetry; for the phase -1 the copy's coupling blocks are
-    negated first.  T is checked for every sector with an imaginary entry,
-    whether J holds or not; a sector with no imaginary entry is real as it
-    stands and takes no T basis.
+    negated first.  T is checked for every complex sector, whether J holds
+    or not (``low_spectrum`` hands on a sector with no imaginary entry as
+    float64); a real sector takes no T basis.
 
     With J, S splits into the even and the odd sector, one form each.  Its
     basis holds (e_l + p s_l e_Jl)/sqrt(2) for every lead l < Jl, p the
@@ -591,43 +592,41 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
     takes the T-invariant basis: where T b_l = t b_m, l < m, the columns
     (b_l + t b_m)/sqrt(2) and i (b_l - t b_m)/sqrt(2) side by side, which
     keeps the fill low, and b_l or i b_l where T b_l = +b_l or -b_l; the
-    form is then real symmetric.  Each form is one product of S's lead rows
-    with Q, the columns above, which has at most two entries per row:
-    R[i, :] = f_i g(S[l_i, :] Q), with f_i the inverse weight of row i's
-    lead l_i in its column, and g the real part of the row's phase times
-    the product in the T basis (one phase of a pair's two rows gives the
-    real, the other the imaginary part).  With J alone this is
-    R_p[i, j] = S[i, j] + p s_j S[i, Jj] over the leads.  Without J and T,
-    S is solved as it is, in real arithmetic when it has no imaginary
-    entry.
+    form is then real symmetric.  Q, the columns above, has at most two
+    entries per row.  Each form F = Q* S Q is one sparse product, read by
+    the pivot rule: row j of F is S[r_j, :] Q / Q[r_j, j], r_j the first head
+    of column j's block and Q[r_j, j] read from the basis just built, and in
+    the T basis the real part of that.  It holds as S Q = Q F, and row r_j
+    of Q holds only the columns of j's block, whose two pivots differ by a
+    factor of +-i, so the other column adds an imaginary multiple of a real
+    row.  Without J and T, S is solved as it is, in real arithmetic when it
+    is real.
     """
     dim = sector.shape[0]
     n, n2 = grid.n, grid.num_nodes
     unknown = np.arange(dim)
     comp, node = np.divmod(unknown, n2)
-    data = sector.data if sector.data.imag.any() else sector.data.real
-    entries = sp.csr_matrix((data, sector.indices, sector.indptr), shape=sector.shape)
 
     def permuted(perm):  # S[perm u, perm v] at (u, v)
-        copy = entries[perm][:, perm]
+        copy = sector[perm][:, perm]
         copy.sort_indices()
         return copy
 
     inverted = comp * n2 + (n2 - 1 - node)
     image = permuted(inverted)
     phases = None
-    if _same(image, entries):
+    if _same(image, sector):
         phases = [1] * (dim // n2)
     elif dim // n2 == 2:  # -1 on the coupling blocks, which hold the components' ends
         image.data[(image.indices >= n2) != (np.arange(image.nnz) >= image.indptr[n2])] *= -1
-        if _same(image, entries):
+        if _same(image, sector):
             phases = [1, -1]
     iy, ix = np.divmod(node, n)
     mirror = comp * n2 + (n - 1 - iy) * n + ix
-    if not (np.iscomplexobj(data) and _same(permuted(mirror).conj(), entries)):
+    if not (np.iscomplexobj(sector) and _same(permuted(mirror).conj(), sector)):
         mirror = None
     if phases is None and mirror is None:
-        return [(entries, None)], None
+        return [(sector, None)], None
 
     sign = np.asarray(phases, dtype=float)[comp] if phases else np.ones(dim)
     partner = inverted if phases else unknown
@@ -658,20 +657,15 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
         on[1, heads] = np.where(two, np.where(first, 1.0, -t) * 1j * np.sqrt(0.5), 0.0)
         col = np.stack((start[lead], start[lead] + wide[lead]))
         coef = j_coef * on[:, lead]
-        # each column's row is its block's first head, scaled by 1 / Q[head, column]
-        row_of = np.empty(heads.size, dtype=np.intp)
-        scale = np.empty(heads.size, dtype=complex)
-        for i, block in enumerate((heads[first], heads[first & two])):
-            row_of[start[block] + i] = block
-            scale[start[block] + i] = 1.0 / coef[i, block]
         if mirror is None:
-            col, coef, scale = col[:1], coef[:1].real, scale.real
+            col, coef = col[:1], coef[:1].real
         basis = sp.csr_matrix((coef.T.ravel(), col.T.ravel(),
                                np.arange(0, col.size + 1, col.shape[0])), shape=(dim, heads.size))
         basis.eliminate_zeros()
-        # one product of the lead rows with the basis, each row scaled
-        form = entries[row_of] @ basis
-        form.data *= np.repeat(scale, np.diff(form.indptr))
+        # row j: S's row r_j, the first head of column j's block, times Q over Q[r_j, j]
+        rows = np.repeat(heads[first], 1 + two[first])
+        form = sector[rows] @ basis
+        form.data *= np.repeat(1.0 / basis[rows].diagonal(), np.diff(form.indptr))
         if mirror is not None:
             form = form.real
         form.eliminate_zeros()
@@ -751,9 +745,13 @@ class IndexParams:
     seed: int = 0
 
     def __post_init__(self):
-        # the limit the config key solver.k checks
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        _check_k(self.k)  # the limit the config key solver.k checks
+
+
+def _check_k(k) -> None:
+    """Refuse a k that is not an integer of at least 1; a bool is no k."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
 
 
 @dataclass

@@ -282,9 +282,11 @@ def graded_apply(a: GradedOperator, v: GradedVector,
                  leak_tol: float = 1e-12) -> GradedVector:
     """Apply a graded operator, enforcing the sector multiplication table.
 
-    Even operators map each sector to itself, odd operators swap sectors.
-    Each input sector is pushed through separately and any output leaking
-    into the forbidden sector (relative to the output size) raises.
+    The doubled vector is held as the two rows of one (2, half) array, row 0
+    the plus and row 1 the minus sector.  An even operator maps row i to
+    itself, an odd one to row 1 - i.  Each nonzero input row is pushed
+    through separately, and any output leaking into the other row (relative
+    to the output size) raises.
     """
     if a.parity is Parity.INDEFINITE:
         raise ParityError("cannot apply an operator of indefinite parity")
@@ -294,33 +296,24 @@ def graded_apply(a: GradedOperator, v: GradedVector,
     if mat.shape != (2 * half, 2 * half):
         raise ShapeError(f"operator shape {mat.shape} does not match vector")
 
-    out_plus = np.zeros(half, dtype=complex)
-    out_minus = np.zeros(half, dtype=complex)
-    worst_leak = 0.0
-    scale = 0.0
-
-    for sector, part in (("plus", v.plus.values), ("minus", v.minus.values)):
-        if not np.any(part):
+    rows = np.stack((v.plus.values, v.minus.values))
+    out = np.zeros((2, half), dtype=complex)
+    worst_leak = scale = 0.0
+    for i in (0, 1):
+        if not np.any(rows[i]):
             continue
-        emb = np.zeros(2 * half, dtype=complex)
-        if sector == "plus":
-            emb[:half] = part
-        else:
-            emb[half:] = part
-        img = np.asarray(mat @ emb).ravel()
-        goes_plus = (sector == "plus") == (a.parity is Parity.EVEN)
-        keep, leak = (img[:half], img[half:]) if goes_plus else (img[half:], img[:half])
-        keep_norm = float(np.linalg.norm(keep))
-        leak_norm = float(np.linalg.norm(leak))
+        emb = np.zeros((2, half), dtype=complex)
+        emb[i] = rows[i]
+        img = np.asarray(mat @ emb.ravel()).reshape(2, half)
+        to = i if a.parity is Parity.EVEN else 1 - i
+        keep_norm = float(np.linalg.norm(img[to]))
+        leak_norm = float(np.linalg.norm(img[1 - to]))
         scale = max(scale, keep_norm, leak_norm)
         worst_leak = max(worst_leak, leak_norm)
-        if goes_plus:
-            out_plus += keep
-        else:
-            out_minus += keep
+        out[to] += img[to]
 
     if scale > 0.0 and worst_leak > leak_tol * scale:
         raise ParityError(
             f"{a.parity.value} operator leaked {worst_leak / scale:.3e} of its "
             f"output into the forbidden sector (tolerance {leak_tol:g})")
-    return GradedVector(Field(grid, m, out_plus), Field(grid, m, out_minus))
+    return GradedVector(Field(grid, m, out[0]), Field(grid, m, out[1]))

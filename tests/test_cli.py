@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dil import spectral
 from dil.cli import CONFIG_KEYS, ExperimentConfig, load_config, main
 from dil.errors import ConfigError
 from dil.spectral import WindingMismatchWarning
@@ -196,6 +197,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "grid.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, env, named", [
+    (None, {}, r"config file not found: \S*missing\.cfg"),
+    ("grid.n = 24\ngrid.L 5\n", {}, r"bad\.cfg:2: expected 'key = value', got 'grid\.L 5'"),
+    ("grid.n = 24\ngrid.L = five\n", {}, r"bad\.cfg:2: value for 'grid\.L' is not valid JSON"),
+    ("grid.n = 24\n", {"DIL_GRID_L": "five"}, r"DIL_GRID_L: not valid JSON: 'five'"),
+], ids=["missing file", "no equals sign", "value not JSON", "env override not JSON"])
+def test_an_unreadable_config_exits_2_naming_where(tmp_path, monkeypatch, capsys, text, env,
+                                                    named):
+    path = tmp_path / ("missing.cfg" if text is None else "bad.cfg")
+    if text is not None:
+        path.write_text(text)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["winding", "--config", str(path)]) == 2
+    assert re.search(named, capsys.readouterr().err)
+
+
 def test_solver_error_exit_code(tmp_path, monkeypatch, capsys):
     import dil.spectral as spectral_mod
 
@@ -363,14 +381,31 @@ def test_report_validates_against_shipped_schema(tmp_path, subcommand):
     jsonschema.validate(_read_report(out), schema)
 
 
+def _assert_serial_index_is_bit_reproducible(config, tmp_path):
+    for stem in ("a", "b"):
+        assert main(["index", "--config", config, "--serial", "--seed", "3",
+                     "--out", str(tmp_path / f"{stem}.json")]) == 0
+    for name in (".json", "_spectrum_minus.csv", "_spectrum_plus.csv"):
+        assert (tmp_path / f"a{name}").read_bytes() == (tmp_path / f"b{name}").read_bytes()
+
+
 def test_serial_reports_are_bit_reproducible(fast_config, tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    assert main(["index", "--config", fast_config, "--serial", "--seed", "3",
-                 "--out", str(out1)]) == 0
-    assert main(["index", "--config", fast_config, "--serial", "--seed", "3",
-                 "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # the unperturbed partners take the Kronecker path: no factor, no ARPACK
+    _assert_serial_index_is_bit_reproducible(fast_config, tmp_path)
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_serial_reports_are_bit_reproducible_on_the_lanczos_path(tmp_path, monkeypatch, n):
+    # epsilon = 0.3 takes the parity forms, SuperLU and ARPACK; odd n puts
+    # the centre node on the inversion's fixed point
+    factored, factor = [], spectral._factor
+    monkeypatch.setattr(spectral, "_factor",
+                        lambda form, shift: factored.append(form.shape) or factor(form, shift))
+    path = tmp_path / "perturbed.cfg"
+    path.write_text(FAST_CONFIG.replace("grid.n = 24", f"grid.n = {n}")
+                    + "model.epsilon = 0.3\n")
+    _assert_serial_index_is_bit_reproducible(str(path), tmp_path)
+    assert len(factored) == 8  # two parity forms per partner, per run
 
 
 def test_report_embeds_config_and_versions(fast_config, tmp_path):

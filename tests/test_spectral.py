@@ -22,6 +22,7 @@ from dil import (BlockOperator, ContourError, adjoint,
                  operator_set_from_block, pairing_check, winding_number,
                  witten_index)
 from dil import spectral
+from dil.errors import ShapeError
 from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO, crat
 
 OSCILLATOR_TOL = 0.05
@@ -108,6 +109,63 @@ def test_eigenvalue_at_the_shift_raises_solver_error():
     with pytest.raises(SolverError, match="exactly singular") as exc_info:
         low_spectrum(sp.diags(diagonal, format="csr"), 4, grid=g, matrix_id="diagonal")
     assert exc_info.value.matrix_id == "diagonal"
+
+
+@pytest.mark.parametrize("k", [0, 2.5, 3.0, True])
+def test_low_spectrum_refuses_a_k_that_is_no_positive_integer(k):
+    # k = 3.0 crashed ARPACK with a SystemError, k = True returned one pair
+    # from the Kronecker path, and k = 0 raised a different scipy message on
+    # each path: k is checked once, before either path, as IndexParams does
+    grid = GridSpec(5.0, 8)
+    kron = build_operator_set(ModelSpec(), grid).H_minus_mat
+    lanczos = build_operator_set(ModelSpec(epsilon="0.3"), grid).H_minus_mat
+    assert low_spectrum(kron, 3, grid=grid).kron_defect is not None
+    assert low_spectrum(lanczos, 3, grid=grid).ordering == spectral.ORDERING
+    for mat in (kron, lanczos):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer of at least 1, "
+                                                       f"got {k!r}")):
+            low_spectrum(mat, k, grid=grid)
+    with pytest.raises(ValueError, match="k must be an integer of at least 1"):
+        IndexParams(k=k)
+
+
+def test_a_residual_above_the_bound_raises_solver_error(monkeypatch):
+    # one planted vector that is no eigenvector: the Rayleigh pass measures
+    # its residual, and the bound refuses the whole report
+    grid = GridSpec(5.0, 24)
+    mat = build_operator_set(ModelSpec(), grid).H_minus_mat
+    kron_solve = spectral._kron_solve
+
+    def planted(ty, tx, k):
+        vals, vecs = kron_solve(ty, tx, k)
+        vecs[:, 0] = np.random.default_rng(0).standard_normal(vecs.shape[0])
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_kron_solve", planted)
+    with pytest.raises(SolverError, match="H_minus: eigenpair residual .* exceeds the bound") \
+            as exc_info:
+        low_spectrum(mat, 6, grid=grid, matrix_id="H_minus")
+    assert (exc_info.value.matrix_id, exc_info.value.requested) == ("H_minus", 6)
+
+
+def test_low_spectrum_refuses_a_matrix_that_is_not_on_the_grid():
+    grid = GridSpec(5.0, 8)
+    with pytest.raises(ShapeError, match=r"square, got \(64, 63\)"):
+        low_spectrum(sp.random(64, 63, density=0.1, format="csr", random_state=0), 2, grid=grid)
+    with pytest.raises(ShapeError, match="dimension 65 is not a multiple of n\\^2 = 64"):
+        low_spectrum(sp.identity(65, format="csr"), 2, grid=grid)
+
+
+def test_grid_mismatches_are_refused():
+    grid, other = GridSpec(5.0, 8), GridSpec(5.0, 9)
+    rep = low_spectrum(sp.identity(grid.num_nodes, format="csr"), 2, grid=grid)
+    far = low_spectrum(sp.identity(other.num_nodes, format="csr"), 2, grid=other)
+    with pytest.raises(ShapeError, match="report grid does not match"):
+        mode_census(rep, other, 0.5, other.L / 2, spectral.LOC_MIN)
+    with pytest.raises(ShapeError, match="discretized on a different grid"):
+        witten_index(build_operator_set(ModelSpec(), grid), other)
+    with pytest.raises(ShapeError, match="spectra from the same grid"):
+        pairing_check(rep, far, cutoff=2.5)
 
 
 _SMALL = GridSpec(5.0, 24)
