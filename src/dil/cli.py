@@ -95,7 +95,7 @@ class ExperimentConfig:
     convergence_n_values: list[float] = _key([49, 97, 193], _parse_number_list, (
         lambda v: len(v) >= 3 and all(int(n) == n and n >= 8 for n in v),
         "needs at least three grid sizes, all integers >= 8"))
-    seed: int = _key(0, _parse_int)
+    seed: int = _key(0, _parse_int, (lambda v: v >= 0, "must be at least 0"))
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_L, self.grid_n)

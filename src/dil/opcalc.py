@@ -16,14 +16,19 @@ the closed forms of the partner Hamiltonians or the involutivity of the
 formal adjoint are decided by equality instead of by a floating tolerance.
 
 A coefficient is three ints: a Gaussian-integer numerator a + b*i over one
-denominator d > 0 with gcd(a, b, d) = 1 (Knuth, TAOCP vol. 2, 4.5.1).  Every
+denominator d > 0 with gcd(a, b, d) = 1 (Knuth, TAOCP vol. 2, 4.5.1).  An
+expression is stored the same way, as one denominator den > 0 and a dict
+{signature: (a, b)} of Gaussian-integer numerators with no zero entry and
+gcd(den, every a, every b) = 1, so equal operators have equal ints.  Every
 product (``compose``, ``*``, ``adjoint`` and ``normal_order``) runs through one
-kernel, ``_products``: each factor is brought once to Gaussian-integer
-numerators over the lcm of its denominators, every contraction of every
-(left, right) pair of a result entry is added as plain ints over one common
-denominator, and each surviving signature is reduced at the end, so there is
-one gcd per signature of each product entry.  Terms that the calculus builds
-skip the power check of the public ``OperatorTerm`` constructor.
+kernel, ``_products``: it reads each factor's stored form, adds every
+contraction of every (left, right) pair of a result entry as plain ints over
+one common denominator, and divides the sum through by one gcd, so there is
+one gcd per product entry and no sort.  The sorted tuple of ``OperatorTerm``s
+with reduced coefficients (``terms``) is built only when it is first read,
+for rendering, discretization or numeric evaluation, and then kept.  Terms
+that the calculus builds skip the power check of the public ``OperatorTerm``
+constructor.
 
 The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
@@ -198,47 +203,71 @@ def _accumulate(acc: dict, key, c: ComplexRational) -> None:
     acc[key] = c if prev is None else prev + c
 
 
-@dataclass(frozen=True)
+# Gaussian-integer numerators over one denominator: (den, {(pow_z, pow_zbar,
+# pow_d, pow_dbar): (a, b)}) is the sum of (a + b*i)/den * z^.. zb^.. d^.. db^..
+# An expression's stored form is one, reduced; the product kernel also takes
+# unreduced ones
+Signature = tuple[int, int, int, int]
+IntegerForm = tuple[int, Mapping[Signature, tuple[int, int]]]
+
+
 class OperatorExpression:
     """Canonical sum of normal-ordered monomials.
 
-    Terms are sorted by power signature, signatures are unique, and no term
-    has a zero coefficient, so ``==`` decides operator equality.  Build
-    instances through :meth:`from_terms` (or the arithmetic operators), which
-    canonicalize; the raw constructor trusts its input.
+    Stored as ints ``(den, {signature: (a, b)})``: den > 0, no entry is
+    zero and gcd(den, every a, every b) = 1.  Each operator has one such
+    form, so ``==`` and ``hash`` compare ints.  ``terms`` is the sorted
+    tuple of ``OperatorTerm``s with reduced coefficients; it is built on its
+    first read and kept.  Immutable by convention; ``OperatorExpression(terms)``
+    canonicalizes like :meth:`from_terms`.
     """
 
-    terms: tuple[OperatorTerm, ...] = ()
+    __slots__ = ("_den", "_num", "_terms")
+
+    def __new__(cls, terms: Iterable[OperatorTerm] = ()):
+        return cls.from_terms(terms)
 
     @staticmethod
     def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpression":
-        acc: dict[tuple[int, int, int, int], ComplexRational] = {}
-        for t in terms:
-            _accumulate(acc, t.signature, t.coeff)
-        return OperatorExpression(tuple(
-            _term(c, *sig) for sig, c in sorted(acc.items()) if not c.is_zero))
+        return _canonical(*_integers(tuple(terms)))
+
+    @property
+    def terms(self) -> tuple[OperatorTerm, ...]:
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = self._terms = tuple(_term(_reduced(a, b, den), *sig)
+                                        for sig, (a, b) in sorted(self._num.items()))
+        return terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def scale(self, c) -> "OperatorExpression":
         c = as_scalar(c)
-        return OperatorExpression.from_terms(
-            _term(t.coeff * c, *t.signature) for t in self.terms)
+        x, y = c._a, c._b
+        return _canonical(self._den * c._d, {sig: (a * x - b * y, a * y + b * x)
+                                             for sig, (a, b) in self._num.items()})
 
     def __add__(self, other: "OperatorExpression") -> "OperatorExpression":
-        return OperatorExpression.from_terms(self.terms + other.terms)
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        acc = {sig: (a * s, b * s) for sig, (a, b) in self._num.items()}
+        for sig, (a, b) in other._num.items():
+            c, e = acc.get(sig, (0, 0))
+            acc[sig] = (c + a * t, e + b * t)
+        return _canonical(den, acc)
 
     def __sub__(self, other: "OperatorExpression") -> "OperatorExpression":
         return self + (-other)
 
     def __neg__(self) -> "OperatorExpression":
-        return self.scale(-1)
+        return _expression(self._den, {sig: (-a, -b) for sig, (a, b) in self._num.items()})
 
     def __mul__(self, other):
         if isinstance(other, OperatorExpression):
-            return _products(((_integers(self.terms), _integers(other.terms)),))
+            return _products((((self._den, self._num), (other._den, other._num)),))
         try:
             return self.scale(other)
         except TypeError:
@@ -247,8 +276,51 @@ class OperatorExpression:
     # only a scalar reaches __rmul__, and scalars commute with everything
     __rmul__ = __mul__
 
+    def __eq__(self, other):
+        if type(other) is not OperatorExpression:
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._den, frozenset(self._num.items())))
+
+    def __repr__(self) -> str:
+        return f"OperatorExpression(terms={self.terms!r})"
+
     def __str__(self) -> str:
         return render_expression(self)
+
+
+def _expression(den: int, num: dict[Signature, tuple[int, int]]) -> OperatorExpression:
+    """OperatorExpression whose form (den, num) is canonical by construction."""
+    e = object.__new__(OperatorExpression)
+    e._den, e._num, e._terms = den, num, None
+    return e
+
+
+def _canonical(den: int, acc: Mapping[Signature, Sequence[int]]) -> OperatorExpression:
+    """The expression sum acc[sig]/den: zero entries dropped, then divided
+    through by one gcd of den and every numerator."""
+    g = den
+    for a, b in acc.values():
+        if g == 1:
+            break
+        g = math.gcd(g, a, b)
+    if g == 1:
+        return _expression(den, {sig: (a, b) for sig, (a, b) in acc.items() if a or b})
+    return _expression(den // g, {sig: (a // g, b // g) for sig, (a, b) in acc.items() if a or b})
+
+
+def _integers(terms: Sequence[OperatorTerm]) -> IntegerForm:
+    """Raw terms summed as Gaussian-integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(t.coeff._d for t in terms))
+    acc: dict[Signature, list[int]] = {}
+    for t in terms:
+        s = den // t.coeff._d
+        v = acc.setdefault(t.signature, [0, 0])
+        v[0] += t.coeff._a * s
+        v[1] += t.coeff._b * s
+    return den, acc
 
 
 def monomial(coeff: RationalLike | ComplexRational = 1, pow_z: int = 0,
@@ -275,34 +347,22 @@ def normal_order(left: OperatorTerm, right: OperatorTerm) -> list[OperatorTerm]:
     return list(_products(((_integers((left,)), _integers((right,))),)).terms)
 
 
-# an expression as Gaussian-integer rows (a, b, pow_z, pow_zbar, pow_d, pow_dbar)
-# over one denominator: each term is (a + b*i)/den * z^.. zb^.. d^.. db^..
-IntegerForm = tuple[int, list[tuple[int, int, int, int, int, int]]]
-
-
-def _integers(terms: Sequence[OperatorTerm]) -> IntegerForm:
-    """Terms as Gaussian-integer numerators over the lcm of their denominators."""
-    den = math.lcm(*(t.coeff._d for t in terms))
-    return den, [(t.coeff._a * (den // t.coeff._d), t.coeff._b * (den // t.coeff._d),
-                  t.pow_z, t.pow_zbar, t.pow_d, t.pow_dbar) for t in terms]
-
-
 def _products(pairs: Iterable[tuple[IntegerForm, IntegerForm]]) -> OperatorExpression:
     """Canonical sum of the normal-ordered products ``left @ right`` over ``pairs``.
 
     Uses d^m z^n = sum_k k! C(m,k) C(n,k) z^(n-k) d^(m-k) in each Wirtinger
     sector; the (z, d) and (zb, db) sectors commute with each other.  All
     contractions of all pairs are added as ints over one common denominator,
-    and each signature is reduced once, in sorted order.
+    and the sum is divided through by one gcd: no sort and no term object.
     """
     pairs = [(left, right) for left, right in pairs if left[1] and right[1]]
     den = math.lcm(*(left[0] * right[0] for left, right in pairs))
-    acc: dict[tuple[int, int, int, int], list[int]] = {}
+    acc: dict[Signature, list[int]] = {}
     for (dl, left), (dr, right) in pairs:
         s = den // (dl * dr)
-        for a, b, pz, pzb, pd, pdb in left:
+        for (pz, pzb, pd, pdb), (a, b) in left.items():
             a, b = a * s, b * s
-            for c, e, qz, qzb, qd, qdb in right:
+            for (qz, qzb, qd, qdb), (c, e) in right.items():
                 re, im = a * c - b * e, a * e + b * c
                 z, zb, d, db = pz + qz, pzb + qzb, pd + qd, pdb + qdb
                 for k, l, m in _contractions(pd, qz, pdb, qzb):
@@ -313,8 +373,7 @@ def _products(pairs: Iterable[tuple[IntegerForm, IntegerForm]]) -> OperatorExpre
                     else:
                         v[0] += re * m
                         v[1] += im * m
-    return OperatorExpression(tuple(
-        _term(_reduced(a, b, den), *sig) for sig, (a, b) in sorted(acc.items()) if a or b))
+    return _canonical(den, acc)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -375,8 +434,8 @@ def compose(a: BlockOperator, b: BlockOperator) -> BlockOperator:
     """Block matrix product with every scalar product normal-ordered."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    left = [_integers(e.terms) for e in a.entries]
-    right = [_integers(e.terms) for e in b.entries]
+    left = [(e._den, e._num) for e in a.entries]
+    right = [(e._den, e._num) for e in b.entries]
     return BlockOperator(a.rows, b.cols, tuple(
         _products((left[i * a.cols + k], right[k * b.cols + j]) for k in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)))
@@ -394,11 +453,10 @@ def adjoint(a):
             adjoint(a.entry(i, j)) for j in range(a.cols) for i in range(a.rows)))
     if not isinstance(a, OperatorExpression):
         raise TypeError(f"adjoint expects an expression or block operator, got {type(a)!r}")
-    den, rows = _integers(a.terms)
     return _products(
-        ((den, [(x * (-1) ** (d + db), -y * (-1) ** (d + db), 0, 0, db, d)]),
-         (1, [(1, 0, zb, z, 0, 0)]))
-        for x, y, z, zb, d, db in rows)
+        ((a._den, {(0, 0, db, d): (x * (-1) ** (d + db), -y * (-1) ** (d + db))}),
+         (1, {(zb, z, 0, 0): (1, 0)}))
+        for (z, zb, d, db), (x, y) in a._num.items())
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +549,19 @@ def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
             p = derived[pd, pdb] = {key: (re, im) for key, (re, im) in acc.items() if re or im}
         return p
 
-    terms = [(t, derivative(t.pow_d, t.pow_dbar), w ** (t.pow_d + t.pow_dbar) * t.coeff._d)
-             for t in a.terms]
-    common = math.lcm(*(scale for _, _, scale in terms))
+    # every term of the expression is over a._den; its derivative over
+    # den * w^(pd + pdb) is brought to the deepest one, den * w^top
+    top = max((pd + pdb for _, _, pd, pdb in a._num), default=0)
     acc: dict[tuple[int, int], list[int]] = {}
-    for t, p, scale in terms:
-        s = common // scale
-        ca, cb = t.coeff._a * s, t.coeff._b * s
-        for (i, j), (re, im) in p.items():
-            v = acc.setdefault((i + t.pow_z, j + t.pow_zbar), [0, 0])
+    for (pz, pzb, pd, pdb), (ca, cb) in a._num.items():
+        s = w ** (top - pd - pdb)
+        ca, cb = ca * s, cb * s
+        for (i, j), (re, im) in derivative(pd, pdb).items():
+            v = acc.setdefault((i + pz, j + pzb), [0, 0])
             v[0] += re * ca - im * cb
             v[1] += re * cb + im * ca
-    return GaussianAnsatz(f.alpha, tuple((key, _reduced(re, im, den * common))
+    common = den * a._den * w ** top
+    return GaussianAnsatz(f.alpha, tuple((key, _reduced(re, im, common))
                                          for key, (re, im) in sorted(acc.items()) if re or im))
 
 

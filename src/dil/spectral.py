@@ -174,7 +174,8 @@ class EigenReport:
 def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
                  seed: int = 0) -> EigenReport:
     """k smallest eigenpairs of a Hermitian matrix on the grid, k an integer
-    of at least 1 (not a bool; ValueError otherwise).
+    of at least 1 and seed a non-negative integer (neither a bool;
+    ValueError otherwise).
 
     The matrix is first brought to canonical form (sorted indices, every
     duplicate entry summed; on a copy, so the caller's matrix is left as it
@@ -280,6 +281,7 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     solves ran in real arithmetic.
     """
     _check_k(k)
+    _check_seed(seed)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
     dim = a.shape[0]
@@ -745,13 +747,21 @@ class IndexParams:
     seed: int = 0
 
     def __post_init__(self):
-        _check_k(self.k)  # the limit the config key solver.k checks
+        _check_k(self.k)  # the limits the config keys solver.k and seed check
+        _check_seed(self.seed)
 
 
 def _check_k(k) -> None:
     """Refuse a k that is not an integer of at least 1; a bool is no k."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer, the start vectors'
+    np.random.default_rng seed; a bool is no seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
 
 
 @dataclass

@@ -94,7 +94,7 @@ def test_an_empty_key_in_a_file_is_an_error(tmp_path):
 # one value per key that has a rule, breaking that rule
 RULE_BREAKERS = {
     "grid.L": 0, "grid.n": 4, "solver.k": 0, "sweep.c_values": [0, 1.0],
-    "convergence.n_values": [49, 97],
+    "convergence.n_values": [49, 97], "seed": -1,
 }
 
 
@@ -184,6 +184,28 @@ def test_seed_flag_overrides_config(tmp_path):
     path.write_text("seed = 5\n")
     assert load_config(str(path)).seed == 5
     assert load_config(str(path), seed_flag=11).seed == 11
+
+
+# argparse itself refuses a --seed that is no integer
+@pytest.mark.parametrize("route, bad", [(route, bad) for route in ("file", "env")
+                                        for bad in ("-1", "2.5", "true")] + [("flag", "-1")])
+def test_a_bad_seed_is_a_config_error_on_every_route(tmp_path, monkeypatch, capsys, route, bad):
+    # DIL_SEED=-1 on the Lanczos path ended in numpy's bare ValueError and
+    # exit 1 with a traceback; --seed passes the key's parser, not its rule
+    argv = ["index", "--serial", "--out", str(tmp_path / "r.json")]
+    monkeypatch.setenv("DIL_GRID_N", "24")
+    monkeypatch.setenv("DIL_MODEL_EPSILON", "0.3")
+    if route == "file":
+        path = tmp_path / "seed.cfg"
+        path.write_text(f"seed = {bad}\n")
+        argv += ["--config", str(path)]
+    elif route == "env":
+        monkeypatch.setenv("DIL_SEED", bad)
+    else:
+        argv += ["--seed", bad]
+    assert main(argv) == 2
+    assert "config error: seed" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 # --------------------------------------------------------------------------

@@ -255,6 +255,95 @@ def test_product_kernel_matches_term_by_term_reference_on_random_blocks():
     assert all(kinds.values()), kinds
 
 
+def _one_form(values):
+    # equal values of one stored form: equal, one hash, one repr and one terms
+    first = values[0]
+    for v in values:
+        assert v == first
+        assert hash(v) == hash(first)
+        assert repr(v) == repr(first)
+        assert v.terms == first.terms
+    assert len(set(values)) == 1
+
+
+def test_every_route_to_an_expression_reaches_one_form():
+    quarter, third = Fraction(1, 4), Fraction(1, 3)
+    e = monomial(Fraction(1, 2), pow_z=1) + monomial(crat(0, third), 0, 1, 1, 0)
+    tail = OperatorTerm(crat(0, third), 0, 1, 1, 0)
+    # z/4 (1 + d/4) + z/4 (1 - d/4): 1/4 + 1/4 over the common denominator 16
+    over_16 = compose(
+        BlockOperator.from_rows([[monomial(quarter, pow_z=1), monomial(quarter, pow_z=1)]]),
+        BlockOperator.from_rows([[ONE + monomial(quarter, pow_d=1)],
+                                 [ONE - monomial(quarter, pow_d=1)]])).entry(0, 0)
+    assert over_16 == monomial(Fraction(1, 2), pow_z=1)
+    # the stored form itself: without the kernel's gcd it would be 8/16
+    assert (over_16._den, over_16._num) == (2, {(1, 0, 0, 0): (1, 0)})
+    half_e = monomial(quarter, pow_z=1) + monomial(crat(0, Fraction(1, 6)), 0, 1, 1, 0)
+    _one_form([
+        e,
+        OperatorExpression.from_terms([OperatorTerm(crat(quarter), 1, 0, 0, 0), tail,
+                                       OperatorTerm(crat(quarter), 1, 0, 0, 0)]),
+        OperatorExpression([tail, OperatorTerm(crat(Fraction(1, 2)), 1, 0, 0, 0)]),
+        parse_expression(render_expression(e)),
+        half_e * monomial(2),
+        monomial(2) * half_e,
+        half_e.scale(crat(1, 1)).scale(crat(1, -1)),
+        2 * half_e,
+        adjoint(adjoint(e)),
+        compose(BlockOperator.from_rows([[e]]), BlockOperator.identity(1)).entry(0, 0),
+        over_16 + monomial(crat(0, third), 0, 1, 1, 0),
+        (e + e) - e,
+        -(-e),
+        e - ZERO,
+        ZERO + e,
+    ])
+    _one_form([
+        ZERO,
+        OperatorExpression(),
+        OperatorExpression.from_terms([]),
+        OperatorExpression.from_terms([tail, OperatorTerm(-tail.coeff, *tail.signature)]),
+        parse_expression("0"),
+        monomial(0, pow_z=2),
+        e - e,
+        e + (-e),
+        e.scale(0),
+        0 * e,
+        ZERO * e,
+        e * ZERO,
+        adjoint(ZERO),
+        compose(BlockOperator.from_rows([[Z, Z]]),
+                BlockOperator.from_rows([[D], [-1 * D]])).entry(0, 0),
+    ])
+    assert (ZERO._den, ZERO._num) == (1, {})
+    assert ZERO.is_zero and not e.is_zero
+
+
+def test_product_repr_and_terms_match_an_eager_build():
+    # terms is built on first read; it must be what from_terms over the
+    # term-by-term reference holds: the same sorted tuple of reduced coefficients
+    assert repr(D * Z) == (
+        "OperatorExpression(terms=(OperatorTerm(coeff=ComplexRational(re=Fraction(1, 1), "
+        "im=Fraction(0, 1)), pow_z=0, pow_zbar=0, pow_d=0, pow_dbar=0), "
+        "OperatorTerm(coeff=ComplexRational(re=Fraction(1, 1), im=Fraction(0, 1)), "
+        "pow_z=1, pow_zbar=0, pow_d=1, pow_dbar=0)))")
+    assert repr(ZERO) == "OperatorExpression(terms=())"
+    rng = random.Random(53)
+    for _ in range(40):
+        a, b = _reference_block(rng), _reference_block(rng)
+        x, y = a.entry(0, 0), b.entry(1, 1)
+        for got, eager in ((x * y, _reference_product(x, y)),
+                           (compose(a, b).entry(0, 1), _reference_compose(a, b).entry(0, 1)),
+                           (adjoint(a).entry(1, 0), _reference_adjoint(a).entry(1, 0))):
+            assert got.terms == eager.terms
+            assert repr(got) == repr(eager)
+            assert [t.signature for t in got.terms] == sorted(t.signature for t in got.terms)
+            for t in got.terms:
+                c = t.coeff
+                assert type(t) is OperatorTerm and not c.is_zero
+                assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
+            assert got.terms is got.terms  # kept after the first read
+
+
 def test_canonical_form_merges_and_drops_zeros():
     t = OperatorTerm(crat(2), 1, 0, 0, 0)
     u = OperatorTerm(crat(-2), 1, 0, 0, 0)

@@ -129,6 +129,20 @@ def test_low_spectrum_refuses_a_k_that_is_no_positive_integer(k):
         IndexParams(k=k)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_low_spectrum_refuses_a_seed_that_is_no_non_negative_integer(seed):
+    # the Lanczos path handed these to np.random.default_rng, which raised a
+    # bare TypeError (2.5) or "expected non-negative integer" (-1); the
+    # Kronecker path ignored them
+    grid = GridSpec(5.0, 8)
+    for eps in (0.0, "0.3"):
+        mat = build_operator_set(ModelSpec(epsilon=eps), grid).H_minus_mat
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer of at least 0, "
+                                                       f"got {seed!r}")):
+            low_spectrum(mat, 3, grid=grid, seed=seed)
+    assert IndexParams(seed=np.int64(3)).seed == 3
+
+
 def test_a_residual_above_the_bound_raises_solver_error(monkeypatch):
     # one planted vector that is no eigenvector: the Rayleigh pass measures
     # its residual, and the bound refuses the whole report
@@ -1098,7 +1112,7 @@ def test_winding_mismatch_warns(monkeypatch):
     assert (report.delta, report.winding, report.winding_matches) == (1, 0, False)
 
 
-@pytest.mark.parametrize("bad", [dict(k=0)])
+@pytest.mark.parametrize("bad", [dict(k=0), dict(seed=-1), dict(seed=2.5), dict(seed=True)])
 def test_index_params_refuse_what_the_config_refuses(bad):
     # k = 0 went on to ARPACK's bare "k must be greater than 0"
     with pytest.raises(ValueError, match=next(iter(bad))):
