@@ -140,7 +140,8 @@ def convergence_study(grids: Sequence[GridSpec],
     The smallest eigenvalue is compared against 0 and the second against
     the unit gap.  Those are the levels of the unperturbed t = 1 oscillator
     only, so any other model raises ModelError.  Requires at least three
-    distinct spacings.
+    distinct spacings.  Each grid's low spectrum is solved for
+    max(params.k, 3) levels.
     """
     if model.t != 1 or model.mass_defect() != 0:
         raise ModelError(
@@ -153,7 +154,7 @@ def convergence_study(grids: Sequence[GridSpec],
     rows = []
     for g in sorted(grids, key=lambda g: -g.h):
         op_set = build_operator_set(model, g)
-        rep = low_spectrum(op_set.H_minus_mat, max(params.k, 2), grid=g,
+        rep = low_spectrum(op_set.H_minus_mat, max(params.k, 3), grid=g,
                            matrix_id=f"H_minus[n={g.n}]", seed=params.seed)
         rows.append(ConvergenceRow(
             h=g.h, n=g.n,

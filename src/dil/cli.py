@@ -56,10 +56,13 @@ def _parse_int(x: Any, key: str) -> int:
     return x
 
 
-def _parse_number_list(x: Any, key: str) -> list[float]:
-    if not isinstance(x, list):
-        raise ConfigError(f"{key}: expected a list, got {x!r}")
-    return [_parse_number(v, key) for v in x]
+def _parse_list(parse: Callable[[Any, str], Any]) -> Callable[[Any, str], list]:
+    """Parser of a list whose every entry ``parse`` takes."""
+    def parse_list(x: Any, key: str) -> list:
+        if not isinstance(x, list):
+            raise ConfigError(f"{key}: expected a list, got {x!r}")
+        return [parse(v, key) for v in x]
+    return parse_list
 
 
 def _key(default: Any, parse: Callable[[Any, str], Any],
@@ -88,12 +91,13 @@ class ExperimentConfig:
     model_t: float = _key(1.0, _parse_number)
     model_epsilon: float = _key(0.0, _parse_number)
     model_f1: float = _key(1.0, _parse_number)
-    model_f1_series: list[float] = _key([], _parse_number_list)
+    model_f1_series: list[float] = _key([], _parse_list(_parse_number))
     solver_k: int = _key(8, _parse_int, _AT_LEAST_ONE)
-    sweep_c_values: list[float] = _key([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _parse_number_list, (
-        lambda v: all(c < 1 for c in v), "must all be below 1"))
-    convergence_n_values: list[float] = _key([49, 97, 193], _parse_number_list, (
-        lambda v: len(v) >= 3 and all(int(n) == n and n >= 8 for n in v),
+    sweep_c_values: list[float] = _key(
+        [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _parse_list(_parse_number),
+        (lambda v: all(c < 1 for c in v), "must all be below 1"))
+    convergence_n_values: list[int] = _key([49, 97, 193], _parse_list(_parse_int), (
+        lambda v: len(v) >= 3 and all(n >= 8 for n in v),
         "needs at least three grid sizes, all integers >= 8"))
     seed: int = _key(0, _parse_int, (lambda v: v >= 0, "must be at least 0"))
 
@@ -279,9 +283,8 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
 
 
 def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
-    grids = [GridSpec(cfg.grid_L, int(n)) for n in cfg.convergence_n_values]
-    report = convergence_study(grids, cfg.model(),
-                               IndexParams(k=max(3, cfg.solver_k), seed=cfg.seed))
+    grids = [GridSpec(cfg.grid_L, n) for n in cfg.convergence_n_values]
+    report = convergence_study(grids, cfg.model(), cfg.index_params())
     ok = 1.7 <= report.order_second <= 2.3 and report.monotone_smallest
     results = report.to_json_dict()
     header = [f.name for f in fields(ConvergenceRow)]

@@ -33,10 +33,12 @@ constructor.
 The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
 
-Monomials applied to Gaussian ansatz functions poly(z, zb) * exp(-a*|z|^2)
-stay inside that family; ``gaussian_apply`` performs the application exactly,
-carrying the polynomial through every Wirtinger step as Gaussian-integer
-numerators over one denominator and reducing each output coefficient once.
+A Gaussian ansatz function poly(z, zb) * exp(-a*|z|^2) holds its polynomial
+as a derivative-free expression in the same stored form, so its sums, scaling
+and equality are the expression's.  Monomials applied to it stay inside that
+family; ``gaussian_apply`` performs the application exactly, carrying the
+polynomial's Gaussian-integer numerators through every Wirtinger step over one
+denominator and dividing the result through by one gcd.
 """
 
 from __future__ import annotations
@@ -196,11 +198,6 @@ def _term(coeff, pow_z, pow_zbar, pow_d, pow_dbar) -> OperatorTerm:
     t = object.__new__(OperatorTerm)
     t.coeff, t.pow_z, t.pow_zbar, t.pow_d, t.pow_dbar = coeff, pow_z, pow_zbar, pow_d, pow_dbar
     return t
-
-
-def _accumulate(acc: dict, key, c: ComplexRational) -> None:
-    prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
 
 
 # Gaussian-integer numerators over one denominator: (den, {(pow_z, pow_zbar,
@@ -465,54 +462,57 @@ def adjoint(a):
 
 @dataclass(frozen=True)
 class GaussianAnsatz:
-    """poly(z, zb) * exp(-alpha*|z|^2) with exact rational data.
+    """factor(z, zb) * exp(-alpha*|z|^2) with exact rational data.
 
-    alpha must be a positive rational; poly is stored as a sorted tuple of
-    ((pow_z, pow_zbar), coeff) pairs with zero coefficients dropped, so
-    dataclass equality is semantic equality.
+    alpha must be a positive rational; factor is the polynomial as a
+    derivative-free OperatorExpression, so equality, hash, sums and scaling
+    are the expression's and equal functions hold equal ints.
     """
 
     alpha: Fraction
-    poly: tuple[tuple[tuple[int, int], ComplexRational], ...]
+    factor: OperatorExpression
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("gaussian decay rate must be positive")
+        if any(pd or pdb for _, _, pd, pdb in self.factor._num):
+            raise ValueError("the polynomial of an ansatz must not hold derivatives")
+
+    @property
+    def poly(self) -> tuple[tuple[tuple[int, int], ComplexRational], ...]:
+        """((pow_z, pow_zbar), coeff) pairs, sorted, each coefficient reduced."""
+        return tuple(((t.pow_z, t.pow_zbar), t.coeff) for t in self.factor.terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.poly
+        return self.factor.is_zero
 
     def scale(self, c) -> "GaussianAnsatz":
-        c = as_scalar(c)
-        return gaussian(self.alpha, {k: v * c for k, v in self.poly})
+        return GaussianAnsatz(self.alpha, self.factor.scale(c))
 
     def __add__(self, other: "GaussianAnsatz") -> "GaussianAnsatz":
         if self.alpha != other.alpha:
             raise ValueError("cannot add ansatz functions with different decay rates")
-        acc = dict(self.poly)
-        for k, v in other.poly:
-            _accumulate(acc, k, v)
-        return gaussian(self.alpha, acc)
+        return GaussianAnsatz(self.alpha, self.factor + other.factor)
 
     def evaluate(self, zs):
         """Numeric values at complex points (scalar or ndarray)."""
         zs = np.asarray(zs, dtype=complex)
-        out = np.zeros_like(zs)
-        for (i, j), c in self.poly:
-            out = out + complex(c) * zs ** i * np.conj(zs) ** j
-        return out * np.exp(-float(self.alpha) * np.abs(zs) ** 2)
+        decay = np.exp(-float(self.alpha) * np.abs(zs) ** 2)
+        return evaluate_multiplication(self.factor, zs) * decay
 
 
 def gaussian(alpha: RationalLike,
              poly: Mapping[tuple[int, int], ComplexRational | RationalLike] | None = None
              ) -> GaussianAnsatz:
-    """Build a GaussianAnsatz; default polynomial part is the constant 1."""
+    """Build a GaussianAnsatz; default polynomial part is the constant 1.
+
+    The powers take ``OperatorTerm``'s check: each a non-negative int.
+    """
     if poly is None:
         poly = {(0, 0): C_ONE}
-    items = sorted((((int(i), int(j)), as_scalar(v)) for (i, j), v in poly.items()),
-                   key=lambda kv: kv[0])
-    return GaussianAnsatz(as_fraction(alpha), tuple(kv for kv in items if not kv[1].is_zero))
+    return GaussianAnsatz(as_fraction(alpha), OperatorExpression.from_terms(
+        OperatorTerm(as_scalar(v), i, j) for (i, j), v in poly.items()))
 
 
 def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
@@ -520,28 +520,27 @@ def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
 
     d (p e^{-alpha z zb}) = (dp - alpha zb p) e^{-alpha z zb}, and db the
     same with z and zb swapped.  The polynomial is carried through the
-    Wirtinger steps as Gaussian-integer numerators over one denominator:
-    with alpha = u/w, a step multiplies the numerators of dp by w and those
-    of zb p by -u, and the denominator by w.  Each derivative power of the
-    expression is taken once, from the power one step below it; all terms
-    are added as ints over one common denominator, and each output
-    coefficient is reduced once.
+    Wirtinger steps as the Gaussian-integer numerators of ``f.factor`` over
+    its denominator: with alpha = u/w, a step multiplies the numerators of
+    dp by w and those of zb p by -u, and the denominator by w.  Each
+    derivative power of the expression is taken once, from the power one
+    step below it; all terms are added as ints over one common denominator,
+    and the sum is divided through by one gcd.
     """
     u, w = f.alpha.numerator, f.alpha.denominator
-    den = math.lcm(*(c._d for _, c in f.poly))
-    derived = {(0, 0): {k: (c._a * (den // c._d), c._b * (den // c._d)) for k, c in f.poly}}
+    derived = {(0, 0): f.factor._num}
 
-    def derivative(pd: int, pdb: int) -> dict[tuple[int, int], tuple[int, int]]:
-        # d^pd db^pdb p, over den * w^(pd + pdb)
+    def derivative(pd: int, pdb: int) -> Mapping[Signature, tuple[int, int]]:
+        # d^pd db^pdb p, over f.factor._den * w^(pd + pdb)
         p = derived.get((pd, pdb))
         if p is None:
             dz, dzb = (0, 1) if pdb else (1, 0)  # the last step: d, or db
-            acc: dict[tuple[int, int], list[int]] = {}
-            for (i, j), (re, im) in derivative(pd - dz, pdb - dzb).items():
+            acc: dict[Signature, list[int]] = {}
+            for (i, j, _, _), (re, im) in derivative(pd - dz, pdb - dzb).items():
                 # the step lowers the power it differentiates, and its decay
                 # factor raises the other one
-                for key, m in (((i - dz, j - dzb), (i * dz + j * dzb) * w),
-                               ((i + dzb, j + dz), -u)):
+                for key, m in (((i - dz, j - dzb, 0, 0), (i * dz + j * dzb) * w),
+                               ((i + dzb, j + dz, 0, 0), -u)):
                     if m:
                         v = acc.setdefault(key, [0, 0])
                         v[0] += re * m
@@ -550,19 +549,18 @@ def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
         return p
 
     # every term of the expression is over a._den; its derivative over
-    # den * w^(pd + pdb) is brought to the deepest one, den * w^top
+    # f.factor._den * w^(pd + pdb) is brought to the deepest one,
+    # f.factor._den * w^top
     top = max((pd + pdb for _, _, pd, pdb in a._num), default=0)
-    acc: dict[tuple[int, int], list[int]] = {}
+    acc: dict[Signature, list[int]] = {}
     for (pz, pzb, pd, pdb), (ca, cb) in a._num.items():
         s = w ** (top - pd - pdb)
         ca, cb = ca * s, cb * s
-        for (i, j), (re, im) in derivative(pd, pdb).items():
-            v = acc.setdefault((i + pz, j + pzb), [0, 0])
+        for (i, j, _, _), (re, im) in derivative(pd, pdb).items():
+            v = acc.setdefault((i + pz, j + pzb, 0, 0), [0, 0])
             v[0] += re * ca - im * cb
             v[1] += re * cb + im * ca
-    common = den * a._den * w ** top
-    return GaussianAnsatz(f.alpha, tuple((key, _reduced(re, im, common))
-                                         for key, (re, im) in sorted(acc.items()) if re or im))
+    return GaussianAnsatz(f.alpha, _canonical(f.factor._den * a._den * w ** top, acc))
 
 
 def block_gaussian_apply(a: BlockOperator,

@@ -348,6 +348,18 @@ def test_convergence_subcommand(tmp_path):
     report = _read_report(out)
     assert 1.7 <= report["results"]["order_second"] <= 2.3
     assert (tmp_path / "conv_convergence.csv").exists()
+    # the grid sizes are echoed as the integers they were given as
+    n_values = report["config"]["convergence.n_values"]
+    assert n_values == [49, 65, 97] and all(type(n) is int for n in n_values)
+
+
+@pytest.mark.parametrize("bad", ["49.0", "49.5"])
+def test_convergence_grid_sizes_must_be_integers(monkeypatch, capsys, bad):
+    # each grid size is parsed as an integer, as grid.n is: 49.0 is the
+    # key's config error, not n = 49 echoed back as the float 49.0
+    monkeypatch.setenv("DIL_CONVERGENCE_N_VALUES", f"[25, {bad}, 97]")
+    assert main(["convergence", "--serial"]) == 2
+    assert f"convergence.n_values: expected an integer, got {bad}" in capsys.readouterr().err
 
 
 def test_convergence_at_k4_keeps_every_copy_of_a_level(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from dil import (BlockOperator, GridSpec, ModelSpec, ShapeError, adjoint,
                  block_gaussian_apply, compose, crat, gaussian,
                  gaussian_apply, gaussian_inner, monomial, normal_order,
                  parse_expression, render_expression, sample)
-from dil.opcalc import (D, DBAR, ONE, ComplexRational, OperatorExpression,
+from dil.opcalc import (D, DBAR, ONE, ComplexRational, GaussianAnsatz, OperatorExpression,
                         OperatorTerm, Z, ZBAR, ZERO, as_fraction, render_block)
 from dil.selftest import random_block, random_expression, random_gaussian
 
@@ -493,6 +493,63 @@ def test_gaussian_apply_consistent_with_compose():
         a, b = random_expression(rng), random_expression(rng)
         f = random_gaussian(rng)
         assert gaussian_apply(a * b, f) == gaussian_apply(a, gaussian_apply(b, f))
+
+
+def test_every_route_to_an_ansatz_reaches_one_form():
+    # the ansatz holds its polynomial as an expression, so equal functions
+    # hold equal ints, whatever route built them
+    quarter, eighth, sixteenth = Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)
+    target = gaussian(1, {(0, 1): eighth, (2, 0): crat(0, Fraction(1, 3))})
+    # zb/4 (1/4) - d (1/4 e^{-|z|^2}) = (1/16 + 1/16) zb: 1/4 * 1/4 twice over
+    # the common denominator 16
+    over_16 = gaussian_apply(monomial(quarter, pow_zbar=1) - monomial(quarter, pow_d=1),
+                             gaussian(1, {(0, 0): quarter}))
+    assert over_16 == gaussian(1, {(0, 1): eighth})
+    # the stored form itself: without gaussian_apply's gcd it would be 2/16
+    assert (over_16.factor._den, over_16.factor._num) == (8, {(0, 1, 0, 0): (1, 0)})
+    twice = gaussian_apply(2 * D, gaussian(Fraction(1, 2)))
+    assert (twice.factor._den, twice.factor._num) == (1, {(0, 1, 0, 0): (-1, 0)})
+    third = gaussian(1, {(2, 0): crat(0, Fraction(1, 3))})
+    routes = [
+        target,
+        gaussian("1", {(2, 0): crat(0, Fraction(2, 6)), (0, 1): "1/8", (3, 3): 0}),
+        GaussianAnsatz(Fraction(1), monomial(eighth, pow_zbar=1) + monomial(crat(0, "1/3"), 2)),
+        gaussian(1, {(0, 1): sixteenth, (2, 0): crat(0, Fraction(1, 6))})
+        + gaussian(1, {(0, 1): sixteenth, (2, 0): crat(0, Fraction(1, 6))}),
+        over_16 + third,
+        gaussian(1, {(0, 1): crat(1, 1), (2, 0): crat(Fraction(-8, 3), Fraction(8, 3))})
+        .scale(crat(sixteenth, -sixteenth)),
+        gaussian(1, {(0, 1): 1, (2, 0): crat(0, Fraction(8, 3))}).scale(eighth),
+        gaussian_apply(ONE, target),
+        gaussian_apply(monomial(quarter) + monomial(3 * quarter), target),
+    ]
+    for f in routes:
+        assert f == target and hash(f) == hash(target)
+        assert f.poly == (((0, 1), crat(eighth)), ((2, 0), crat(0, Fraction(1, 3))))
+    assert len(set(routes)) == 1
+    assert gaussian(1, {(0, 0): 0}).is_zero and gaussian(1, {}) == target.scale(0)
+    assert target != gaussian(2, {(0, 1): eighth, (2, 0): crat(0, Fraction(1, 3))})
+
+
+def test_an_ansatz_refuses_a_derivative_or_a_decay_rate_that_is_not_positive():
+    for factor in (D, Z + DBAR, monomial(1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="derivatives"):
+            GaussianAnsatz(Fraction(1), factor)
+    for alpha in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            GaussianAnsatz(Fraction(alpha), ONE)
+        with pytest.raises(ValueError, match="positive"):
+            gaussian(alpha)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1])
+def test_gaussian_refuses_a_power_that_is_no_non_negative_int(bad):
+    # a power is checked as OperatorTerm checks it, not cast: 1.5 must not
+    # become 1, nor True 1, and a power of -1 would make gaussian_apply(D, .)
+    # return z^-2 and z^-1 zb terms
+    for key in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            gaussian(1, {key: 1})
 
 
 def test_gaussian_inner_norm_value():

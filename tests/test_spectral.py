@@ -541,6 +541,31 @@ def test_a_sector_that_is_no_kronecker_sum_takes_lanczos(monkeypatch, case):
         assert len(tested) == 1 and tested[0][2] > rep.residual_bound
 
 
+def test_a_remainder_just_above_the_bound_takes_lanczos(monkeypatch):
+    # -Lap/4 + |z|^2 on the grid is T (x) I + I (x) T up to rounding, solved
+    # from T; a diagonal remainder of 100 residual bounds at one node puts
+    # max|E| over the bound, so the sector is factored and solved by Lanczos
+    # and its levels are the dense ones, not those of the Kronecker sum
+    grid = GridSpec(5.0, 24)
+    n, h2 = grid.n, 4.0 * grid.h ** 2
+    t = sp.diags([np.full(n - 1, -1.0 / h2), 2.0 / h2 + grid.axis() ** 2,
+                  np.full(n - 1, -1.0 / h2)], [-1, 0, 1])
+    base = sp.kronsum(t, t, format="csr")
+    plain = low_spectrum(base, 8, grid=grid)
+    assert plain.ordering is None and plain.kron_defect <= plain.residual_bound
+    bound, centre = plain.residual_bound, n // 2 * (n + 1)
+    mat = (base + sp.csr_matrix(([100.0 * bound], ([centre], [centre])), shape=base.shape)
+           ).tocsr()
+    assert spectral._kron_sum(mat, grid)[2] == pytest.approx(100.0 * bound, rel=1e-6)
+    calls = _count_factorizations(monkeypatch)
+    rep = low_spectrum(mat, 8, grid=grid)
+    assert (rep.kron_defect, rep.ordering, rep.residual_bound) == (None, "MMD_AT_PLUS_A", bound)
+    assert len(calls) == 1
+    exact = np.linalg.eigvalsh(mat.toarray())[:8]
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-11
+    assert np.max(np.abs(np.subtract(plain.eigenvalues, exact))) > 1e-11
+
+
 _INVERSION_CASES = {
     # builder, then the inversion phases of the sector H_minus and H_plus
     # solve: (1, (-1)^(N-1)) on the two components, [1] on a scalar sector
@@ -777,6 +802,23 @@ def test_count_refuses_a_factorization_it_cannot_trust(matrix, counted):
     else:
         assert failed == ""
         assert np.count_nonzero(lu.U.diagonal() < 0) == counted
+
+
+def test_factor_refuses_a_backward_error_just_above_its_bound():
+    # 20 blocks [[delta - 1/2, 1], [1, delta - 1/2]] less sigma = -1/2: the
+    # pivot-free factor takes the pivot delta = 1e-7, and one solve leaves a
+    # backward error near 1e-10, above the gate's 1e-11 and far below 1e-5;
+    # at delta = 1/10 the same blocks are factored and kept
+    def blocks(delta):
+        return sp.block_diag([[[delta - 0.5, 1.0], [1.0, delta - 0.5]]] * 20, format="csr")
+
+    lu, failed = spectral._factor(blocks(1e-7), -0.5)
+    assert lu is None
+    backward = float(re.fullmatch(r"backward error (\S+) of one solve exceeds 1e-11",
+                                  failed).group(1))
+    assert 1e-11 < backward < 1e-5
+    lu, failed = spectral._factor(blocks(0.1), -0.5)
+    assert lu is not None and failed == ""
 
 
 @pytest.mark.parametrize("coupling, k, from_second", [
