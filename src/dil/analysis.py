@@ -9,7 +9,7 @@ residual report for the supersymmetry algebra.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,20 +81,21 @@ class SweepRow:
 
 
 def perturbation_sweep(c_values: Sequence[float], grid: GridSpec, *,
-                       f1_series: Sequence = (),
+                       model: ModelSpec = ModelSpec(),
                        params: IndexParams = IndexParams()) -> list[SweepRow]:
     """Index and decay-rate scan over mass defects c = eps*f1.
 
-    Each point builds the model with epsilon = c and unit f1 (plus any
-    higher-order multiplier series), recomputes the index with the winding
-    cross-check, and refits the zero-mode decay rate.  Rows keep their input
-    order and a failing point records its error instead of voiding the scan.
+    Each point is ``model`` with epsilon = c and unit f1, keeping its
+    coupling t and higher-order multiplier series; it recomputes the index
+    with the winding cross-check and refits the zero-mode decay rate.  Rows
+    keep their input order and a failing point records its error instead of
+    voiding the scan.
     """
     rows = []
     for c in c_values:
         row = SweepRow(c=float(c), c_effective=float(c))
         try:
-            spec = ModelSpec(epsilon=c, f1_value=1, f1_series=tuple(f1_series))
+            spec = replace(model, epsilon=c, f1_value=1)
             row.c_effective = float(spec.mass_defect())
             row.alpha_predicted = spec.predicted_alpha()
             op_set = build_operator_set(spec, grid)

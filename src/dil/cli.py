@@ -95,10 +95,11 @@ class ExperimentConfig:
     solver_k: int = _key(8, _parse_int, _AT_LEAST_ONE)
     sweep_c_values: list[float] = _key(
         [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], _parse_list(_parse_number),
-        (lambda v: all(c < 1 for c in v), "must all be below 1"))
+        (lambda v: len(v) >= 1 and all(c < 1 for c in v),
+         "must be a non-empty list of values below 1"))
     convergence_n_values: list[int] = _key([49, 97, 193], _parse_list(_parse_int), (
-        lambda v: len(v) >= 3 and all(n >= 8 for n in v),
-        "needs at least three grid sizes, all integers >= 8"))
+        lambda v: len(set(v)) >= 3 and all(n >= 8 for n in v),
+        "needs at least three distinct grid sizes, each an integer >= 8"))
     seed: int = _key(0, _parse_int, (lambda v: v >= 0, "must be at least 0"))
 
     def grid(self) -> GridSpec:
@@ -272,8 +273,7 @@ def _run_zero_modes(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
-    rows = perturbation_sweep(cfg.sweep_c_values, cfg.grid(),
-                              f1_series=cfg.model_f1_series,
+    rows = perturbation_sweep(cfg.sweep_c_values, cfg.grid(), model=cfg.model(),
                               params=cfg.index_params())
     ok = all(r.error is None and r.delta is not None and r.delta == r.winding
              for r in rows)

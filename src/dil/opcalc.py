@@ -24,11 +24,11 @@ product (``compose``, ``*``, ``adjoint`` and ``normal_order``) runs through one
 kernel, ``_products``: it reads each factor's stored form, adds every
 contraction of every (left, right) pair of a result entry as plain ints over
 one common denominator, and divides the sum through by one gcd, so there is
-one gcd per product entry and no sort.  The sorted tuple of ``OperatorTerm``s
-with reduced coefficients (``terms``) is built only when it is first read,
-for rendering, discretization or numeric evaluation, and then kept.  Terms
-that the calculus builds skip the power check of the public ``OperatorTerm``
-constructor.
+one gcd per product entry and no sort.  Rendering and numeric evaluation
+read the stored ints too.  Every ``OperatorTerm`` passes its one constructor,
+which checks and coerces its coefficient and powers; ``terms`` is a view, the
+sorted tuple of terms with reduced coefficients, built through that
+constructor on each read.
 
 The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
@@ -167,14 +167,19 @@ def as_scalar(x: RationalLike | ComplexRational) -> ComplexRational:
     """Exact complex scalar from a ComplexRational or any ``as_fraction`` input.
 
     The one coercion behind every scalar argument: ``scale``, ``*`` with an
-    expression, ``monomial`` and the ``gaussian`` coefficients.
+    expression, and the coefficient of every ``OperatorTerm``.
     """
     return x if isinstance(x, ComplexRational) else ComplexRational(x)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class OperatorTerm:
-    """Normal-ordered monomial coeff * z^a * zb^b * d^c * db^d; immutable by convention."""
+    """Normal-ordered monomial coeff * z^a * zb^b * d^c * db^d; immutable by convention.
+
+    Every term passes this one constructor: ``coeff`` goes through
+    ``as_scalar``, and each power must be a non-negative int or numpy
+    integer (not a bool), and is stored as an int.
+    """
 
     coeff: ComplexRational
     pow_z: int = 0
@@ -183,21 +188,18 @@ class OperatorTerm:
     pow_dbar: int = 0
 
     def __post_init__(self):
+        self.coeff = as_scalar(self.coeff)
         for name in ("pow_z", "pow_zbar", "pow_d", "pow_dbar"):
             p = getattr(self, name)
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            if type(p) is not int and isinstance(p, np.integer):
+                p = int(p)
+                setattr(self, name, p)
+            if type(p) is not int or p < 0:  # a bool is no power
                 raise ValueError(f"{name} must be a non-negative integer, got {p!r}")
 
     @property
     def signature(self) -> tuple[int, int, int, int]:
         return (self.pow_z, self.pow_zbar, self.pow_d, self.pow_dbar)
-
-
-def _term(coeff, pow_z, pow_zbar, pow_d, pow_dbar) -> OperatorTerm:
-    """OperatorTerm whose powers are non-negative ints by construction."""
-    t = object.__new__(OperatorTerm)
-    t.coeff, t.pow_z, t.pow_zbar, t.pow_d, t.pow_dbar = coeff, pow_z, pow_zbar, pow_d, pow_dbar
-    return t
 
 
 # Gaussian-integer numerators over one denominator: (den, {(pow_z, pow_zbar,
@@ -213,29 +215,36 @@ class OperatorExpression:
 
     Stored as ints ``(den, {signature: (a, b)})``: den > 0, no entry is
     zero and gcd(den, every a, every b) = 1.  Each operator has one such
-    form, so ``==`` and ``hash`` compare ints.  ``terms`` is the sorted
-    tuple of ``OperatorTerm``s with reduced coefficients; it is built on its
-    first read and kept.  Immutable by convention; ``OperatorExpression(terms)``
+    form, so ``==`` and ``hash`` compare ints.  ``terms`` is a view: the
+    sorted tuple of ``OperatorTerm``s with reduced coefficients, built on
+    each read.  Immutable by convention; ``OperatorExpression(terms)``
     canonicalizes like :meth:`from_terms`.
     """
 
-    __slots__ = ("_den", "_num", "_terms")
+    __slots__ = ("_den", "_num")
 
     def __new__(cls, terms: Iterable[OperatorTerm] = ()):
         return cls.from_terms(terms)
 
     @staticmethod
     def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpression":
-        return _canonical(*_integers(tuple(terms)))
+        """Terms summed as Gaussian-integer numerators over the lcm of their
+        denominators, then canonicalized."""
+        terms = tuple(terms)
+        den = math.lcm(*(t.coeff._d for t in terms))
+        acc: dict[Signature, list[int]] = {}
+        for t in terms:
+            s = den // t.coeff._d
+            v = acc.setdefault(t.signature, [0, 0])
+            v[0] += t.coeff._a * s
+            v[1] += t.coeff._b * s
+        return _canonical(den, acc)
 
     @property
     def terms(self) -> tuple[OperatorTerm, ...]:
-        terms = self._terms
-        if terms is None:
-            den = self._den
-            terms = self._terms = tuple(_term(_reduced(a, b, den), *sig)
-                                        for sig, (a, b) in sorted(self._num.items()))
-        return terms
+        den = self._den
+        return tuple(OperatorTerm(_reduced(a, b, den), *sig)
+                     for sig, (a, b) in sorted(self._num.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -291,7 +300,7 @@ class OperatorExpression:
 def _expression(den: int, num: dict[Signature, tuple[int, int]]) -> OperatorExpression:
     """OperatorExpression whose form (den, num) is canonical by construction."""
     e = object.__new__(OperatorExpression)
-    e._den, e._num, e._terms = den, num, None
+    e._den, e._num = den, num
     return e
 
 
@@ -308,22 +317,9 @@ def _canonical(den: int, acc: Mapping[Signature, Sequence[int]]) -> OperatorExpr
     return _expression(den // g, {sig: (a // g, b // g) for sig, (a, b) in acc.items() if a or b})
 
 
-def _integers(terms: Sequence[OperatorTerm]) -> IntegerForm:
-    """Raw terms summed as Gaussian-integer numerators over the lcm of their denominators."""
-    den = math.lcm(*(t.coeff._d for t in terms))
-    acc: dict[Signature, list[int]] = {}
-    for t in terms:
-        s = den // t.coeff._d
-        v = acc.setdefault(t.signature, [0, 0])
-        v[0] += t.coeff._a * s
-        v[1] += t.coeff._b * s
-    return den, acc
-
-
 def monomial(coeff: RationalLike | ComplexRational = 1, pow_z: int = 0,
              pow_zbar: int = 0, pow_d: int = 0, pow_dbar: int = 0) -> OperatorExpression:
-    return OperatorExpression.from_terms(
-        (OperatorTerm(as_scalar(coeff), pow_z, pow_zbar, pow_d, pow_dbar),))
+    return OperatorExpression.from_terms((OperatorTerm(coeff, pow_z, pow_zbar, pow_d, pow_dbar),))
 
 
 ZERO = OperatorExpression()
@@ -341,7 +337,7 @@ def normal_order(left: OperatorTerm, right: OperatorTerm) -> list[OperatorTerm]:
     canonical, sorted by signature with one term per signature and no zero
     coefficient.
     """
-    return list(_products(((_integers((left,)), _integers((right,))),)).terms)
+    return list((OperatorExpression((left,)) * OperatorExpression((right,))).terms)
 
 
 def _products(pairs: Iterable[tuple[IntegerForm, IntegerForm]]) -> OperatorExpression:
@@ -464,15 +460,17 @@ def adjoint(a):
 class GaussianAnsatz:
     """factor(z, zb) * exp(-alpha*|z|^2) with exact rational data.
 
-    alpha must be a positive rational; factor is the polynomial as a
-    derivative-free OperatorExpression, so equality, hash, sums and scaling
-    are the expression's and equal functions hold equal ints.
+    alpha must be a positive rational, and goes through ``as_fraction``;
+    factor is the polynomial as a derivative-free OperatorExpression, so
+    equality, hash, sums and scaling are the expression's and equal
+    functions hold equal ints.
     """
 
     alpha: Fraction
     factor: OperatorExpression
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("gaussian decay rate must be positive")
         if any(pd or pdb for _, _, pd, pdb in self.factor._num):
@@ -507,12 +505,13 @@ def gaussian(alpha: RationalLike,
              ) -> GaussianAnsatz:
     """Build a GaussianAnsatz; default polynomial part is the constant 1.
 
-    The powers take ``OperatorTerm``'s check: each a non-negative int.
+    alpha takes ``GaussianAnsatz``'s check and each (coefficient, powers)
+    entry ``OperatorTerm``'s: a power is a non-negative int or numpy integer.
     """
     if poly is None:
         poly = {(0, 0): C_ONE}
-    return GaussianAnsatz(as_fraction(alpha), OperatorExpression.from_terms(
-        OperatorTerm(as_scalar(v), i, j) for (i, j), v in poly.items()))
+    return GaussianAnsatz(alpha, OperatorExpression.from_terms(
+        OperatorTerm(v, i, j) for (i, j), v in poly.items()))
 
 
 def gaussian_apply(a: OperatorExpression, f: GaussianAnsatz) -> GaussianAnsatz:
@@ -595,12 +594,13 @@ def gaussian_inner(f: GaussianAnsatz, g: GaussianAnsatz) -> ComplexRational:
 
 def evaluate_multiplication(e: OperatorExpression, zs):
     """Numeric values of a derivative-free expression at complex points."""
-    if any(t.pow_d or t.pow_dbar for t in e.terms):
+    if any(pd or pdb for _, _, pd, pdb in e._num):
         raise ValueError("expression contains derivatives; not a multiplication operator")
     zs = np.asarray(zs, dtype=complex)
     out = np.zeros_like(zs)
-    for t in e.terms:
-        out = out + complex(t.coeff) * zs ** t.pow_z * np.conj(zs) ** t.pow_zbar
+    den = e._den
+    for (pz, pzb, _, _), (a, b) in sorted(e._num.items()):
+        out = out + complex(a / den, b / den) * zs ** pz * np.conj(zs) ** pzb
     return out
 
 
@@ -611,8 +611,9 @@ def evaluate_multiplication(e: OperatorExpression, zs):
 def render_expression(e: OperatorExpression) -> str:
     if e.is_zero:
         return "0"
-    return " + ".join(f"{t.coeff}*z^{t.pow_z}*zb^{t.pow_zbar}*d^{t.pow_d}*db^{t.pow_dbar}"
-                      for t in e.terms)
+    den = e._den
+    return " + ".join(f"{_reduced(a, b, den)}*z^{z}*zb^{zb}*d^{d}*db^{db}"
+                      for (z, zb, d, db), (a, b) in sorted(e._num.items()))
 
 
 def render_block(a: BlockOperator) -> list[list[str]]:

@@ -339,6 +339,28 @@ def test_sweep_rejects_c_of_one(tmp_path):
     assert main(["sweep", "--config", str(path)]) == 2
 
 
+def test_sweep_refuses_an_empty_list(monkeypatch, capsys):
+    # an empty sweep has no row to fail, so it would always pass
+    monkeypatch.setenv("DIL_SWEEP_C_VALUES", "[]")
+    assert main(["sweep"]) == 2
+    assert "config error: sweep.c_values" in capsys.readouterr().err
+
+
+def test_sweep_keeps_the_model_coupling(fast_config, tmp_path, monkeypatch):
+    # c replaces model.epsilon (with f1 = 1); t = 2 reaches every row, so
+    # the c = 0 row is the t = 2 index
+    monkeypatch.setenv("DIL_MODEL_T", "2")
+    monkeypatch.setenv("DIL_SWEEP_C_VALUES", "[0]")
+    sweep_out, index_out = tmp_path / "sweep.json", tmp_path / "index.json"
+    assert main(["sweep", "--config", fast_config, "--serial", "--out", str(sweep_out)]) == 0
+    assert main(["index", "--config", fast_config, "--serial", "--out", str(index_out)]) == 0
+    (row,) = _read_report(sweep_out)["results"]["rows"]
+    index = _read_report(index_out)["results"]
+    assert row["alpha_predicted"] == 2.0
+    assert row["lambda_min"] == index["eigenvalues_minus"][0]
+    assert (row["delta"], row["winding"]) == (index["delta"], index["winding"]) == (1, 1)
+
+
 def test_convergence_subcommand(tmp_path):
     path = tmp_path / "conv.cfg"
     path.write_text("grid.L = 5.0\nsolver.k = 3\n"
@@ -360,6 +382,20 @@ def test_convergence_grid_sizes_must_be_integers(monkeypatch, capsys, bad):
     monkeypatch.setenv("DIL_CONVERGENCE_N_VALUES", f"[25, {bad}, 97]")
     assert main(["convergence", "--serial"]) == 2
     assert f"convergence.n_values: expected an integer, got {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_values", ["[25, 25, 49]", "[49, 97, 49, 97]"])
+def test_convergence_needs_three_distinct_grid_sizes(tmp_path, monkeypatch, capsys,
+                                                     n_values):
+    # a repeated size adds no spacing: the key's config error, from the
+    # file and from the environment, not a traceback out of the study
+    path = tmp_path / "conv.cfg"
+    path.write_text(f"convergence.n_values = {n_values}\n")
+    assert main(["convergence", "--config", str(path)]) == 2
+    assert "config error: convergence.n_values" in capsys.readouterr().err
+    monkeypatch.setenv("DIL_CONVERGENCE_N_VALUES", n_values)
+    assert main(["convergence"]) == 2
+    assert "config error: convergence.n_values" in capsys.readouterr().err
 
 
 def test_convergence_at_k4_keeps_every_copy_of_a_level(tmp_path, monkeypatch):

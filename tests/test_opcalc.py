@@ -319,7 +319,7 @@ def test_every_route_to_an_expression_reaches_one_form():
 
 
 def test_product_repr_and_terms_match_an_eager_build():
-    # terms is built on first read; it must be what from_terms over the
+    # terms is built on each read; it must be what from_terms over the
     # term-by-term reference holds: the same sorted tuple of reduced coefficients
     assert repr(D * Z) == (
         "OperatorExpression(terms=(OperatorTerm(coeff=ComplexRational(re=Fraction(1, 1), "
@@ -341,7 +341,6 @@ def test_product_repr_and_terms_match_an_eager_build():
                 c = t.coeff
                 assert type(t) is OperatorTerm and not c.is_zero
                 assert c._d > 0 and math.gcd(c._a, c._b, c._d) == 1
-            assert got.terms is got.terms  # kept after the first read
 
 
 def test_canonical_form_merges_and_drops_zeros():
@@ -552,6 +551,15 @@ def test_gaussian_refuses_a_power_that_is_no_non_negative_int(bad):
             gaussian(1, {key: 1})
 
 
+def test_an_ansatz_takes_its_decay_rate_through_as_fraction():
+    # a float rate was stored as a float, and gaussian_apply then failed on
+    # its missing numerator
+    f = GaussianAnsatz(0.5, ONE)
+    assert type(f.alpha) is Fraction and f == gaussian(Fraction(1, 2))
+    assert gaussian_apply(D, f) == gaussian_apply(D, gaussian(Fraction(1, 2))) == (
+        gaussian(Fraction(1, 2), {(0, 1): Fraction(-1, 2)}))
+
+
 def test_gaussian_inner_norm_value():
     assert gaussian_inner(gaussian(1), gaussian(1)) == crat(Fraction(1, 2))
 
@@ -642,6 +650,32 @@ def test_operator_term_rejects_bad_powers(position, bad):
     powers[position] = bad
     with pytest.raises(ValueError):
         OperatorTerm(crat(1), *powers)
+
+
+@pytest.mark.parametrize("coeff", [1, Fraction(1, 2), 0.5])
+def test_operator_term_takes_its_coefficient_through_as_scalar(coeff):
+    # an int coefficient was stored as an int, and from_terms then failed
+    t = OperatorTerm(coeff, 1, 0, 0, 0)
+    assert t == OperatorTerm(crat(coeff), 1, 0, 0, 0)
+    assert type(t.coeff) is ComplexRational
+    assert OperatorExpression.from_terms([t]) == monomial(crat(coeff), pow_z=1)
+    with pytest.raises(TypeError):
+        OperatorTerm(None, 1, 0, 0, 0)
+
+
+def test_operator_term_takes_numpy_integer_powers_as_ints():
+    # numpy integers are integers here as for every exact scalar; a numpy
+    # bool, a numpy float and a negative numpy integer are refused
+    for p in (np.int64(2), np.int32(2)):
+        t = OperatorTerm(crat(1), p, p, p, p)
+        assert all(type(q) is int for q in t.signature)
+        assert t == OperatorTerm(crat(1), 2, 2, 2, 2)
+        assert hash(t) == hash(OperatorTerm(crat(1), 2, 2, 2, 2))
+    assert monomial(1, np.int64(1)) == Z
+    assert gaussian(1, {(np.int32(1), 0): 1}) == gaussian(1, {(1, 0): 1})
+    for bad in (np.bool_(True), np.float64(1.0), np.int64(-1)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            OperatorTerm(crat(1), 0, bad)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:

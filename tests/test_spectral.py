@@ -23,6 +23,7 @@ from dil import (BlockOperator, ContourError, adjoint,
                  witten_index)
 from dil import spectral
 from dil.errors import ShapeError
+from dil.lattice import Field
 from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO, crat
 
 OSCILLATOR_TOL = 0.05
@@ -1015,6 +1016,27 @@ def test_count_zero_modes_warns_near_threshold(desk_index, desk_grid):
     assert census[2] is True
     assert mode_census(desk_index.minus_report, desk_grid, 0.5, desk_grid.L / 2,
                        0.95)[2] is False
+
+
+def test_ambiguous_band_is_ten_percent_of_the_threshold(desk_grid):
+    # an eigenvalue within 10 % of the threshold is flagged, one beyond is
+    # not; a census with a wider band would flag 0.555 and 0.575 too
+    vec = Field(desk_grid, 2, np.ones(2 * desk_grid.num_nodes))
+    for lam, ambiguous in ((0.5 * 1.09, True), (0.5 * 1.11, False), (0.575, False)):
+        rep = EigenReport(matrix_id="hand", grid=desk_grid, eigenvalues=[lam],
+                          vectors=[vec], residuals=[0.0], residual_bound=0.0,
+                          hermiticity_defect=0.0)
+        assert mode_census(rep, desk_grid, 0.5, 2.5, 0.95) == (0, [], ambiguous)
+
+
+@pytest.mark.parametrize("t, radius", [(Fraction(1, 4), 0.7 * 5.0), (4, 5.0 / 2)])
+def test_census_disk_is_clipped_to_half_and_seven_tenths_of_l(t, radius):
+    # sqrt(4/alpha) is 4 at t = 1/4, clipped to 0.7 L = 3.5, and 1 at t = 4,
+    # raised to L/2
+    grid = GridSpec(5.0, 24)
+    report = witten_index(build_operator_set(ModelSpec(t=t), grid), grid, IndexParams(k=6))
+    assert report.loc_radius == radius
+    assert report.delta == report.winding == 1
 
 
 def test_count_zero_modes_rejects_bad_threshold(desk_index, desk_grid):
