@@ -20,8 +20,8 @@ from .opcalc import (BlockOperator, ComplexRational, GaussianAnsatz,  # noqa: E4
                      block_gaussian_apply, compose, crat, gaussian,
                      gaussian_apply, gaussian_inner, monomial, normal_order,
                      parse_expression, render_expression)
-from .lattice import (Field, GridSpec, discretize, field_to_csv,  # noqa: E402
-                      localization_fraction, sample)
+from .lattice import (Field, GridSpec, discretize, evaluate,  # noqa: E402
+                      field_to_csv, localization_fraction, sample)
 from .susy import (DefectOperatorSet, GradedOperator, GradedVector,  # noqa: E402
                    ModelSpec, Parity, SusyQuartet, build_defect_operator,
                    build_operator_set, build_susy_quartet,
@@ -47,7 +47,7 @@ __all__ = [
     "adjoint", "gaussian", "gaussian_apply", "block_gaussian_apply",
     "gaussian_inner", "render_expression", "parse_expression",
     # lattice
-    "GridSpec", "Field", "discretize", "sample", "localization_fraction",
+    "GridSpec", "Field", "discretize", "sample", "evaluate", "localization_fraction",
     "field_to_csv",
     # susy
     "ModelSpec", "DefectOperatorSet", "SusyQuartet", "GradedVector",

@@ -33,6 +33,13 @@ W(c, c) and the multiplier of z^a zb^a, formed as (x^2 + y^2)^a, are real
 with no round-off imaginary part, so an operator whose every term is real
 is stored as a float64 matrix, and every later sparse pass over it moves
 half the bytes of a complex one.
+
+This is the one module where an exact expression becomes floating-point
+numbers.  ``evaluate`` (the values of a derivative-free expression or of a
+Gaussian ansatz at points) and ``discretize`` share ``_multiplier``, the one
+formula for z^a zb^b, and both walk the stored form (den, {signature: (a, b)})
+of :class:`dil.opcalc.OperatorExpression` in sorted signature order, taking
+each coefficient as complex(a / den, b / den).
 """
 
 from __future__ import annotations
@@ -59,8 +66,9 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not 0 < self.L < np.inf:
-            raise ValueError(f"grid half-width must be finite and positive, got {self.L}")
+        if (isinstance(self.L, bool) or not isinstance(self.L, numbers.Real)
+                or not 0 < self.L < np.inf):
+            raise ValueError(f"grid half-width must be finite and positive, got {self.L!r}")
         if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
                 or self.n < 8):
             raise ValueError(f"grid needs at least 8 points per axis, got {self.n}")
@@ -126,29 +134,39 @@ class Field:
         return complex(self.grid.h ** 2 * np.vdot(self.values, other.values))
 
 
+def evaluate(f: Union[OperatorExpression, GaussianAnsatz], zs) -> np.ndarray:
+    """Values at complex points (scalar or ndarray) of a derivative-free
+    expression, or of a Gaussian ansatz with its Gaussian.
+
+    Every term is its coefficient times ``_multiplier``, summed in sorted
+    signature order.  An expression with a derivative is no function and
+    raises ValueError.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if isinstance(f, GaussianAnsatz):
+        return evaluate(f.factor, zs) * np.exp(-float(f.alpha) * np.abs(zs) ** 2)
+    if any(pd or pdb for _, _, pd, pdb in f._num):
+        raise ValueError("expression contains derivatives; not a multiplication operator")
+    den = f._den
+    return sum((complex(a / den, b / den) * _multiplier(zs, pz, pzb)
+                for (pz, pzb, _, _), (a, b) in sorted(f._num.items())), np.zeros_like(zs))
+
+
 def sample(grid: GridSpec,
            f: Union[GaussianAnsatz, Callable[[np.ndarray], np.ndarray],
-                    Sequence[Union[GaussianAnsatz, Callable]]],
-           components: int = 1) -> Field:
+                    Sequence[Union[GaussianAnsatz, Callable]]]) -> Field:
     """Pointwise evaluation at the grid nodes.
 
-    ``f`` may be a GaussianAnsatz, a vectorized closure of the complex
-    coordinate, or a sequence of those (one per component).
+    ``f`` is a GaussianAnsatz or a vectorized closure of the complex
+    coordinate, which gives one component, or a sequence of those, one
+    component per entry; an empty sequence is refused as a field with no
+    component.
     """
     zs = grid.nodes()
-
-    def one(fi) -> np.ndarray:
-        if isinstance(fi, GaussianAnsatz):
-            return np.asarray(fi.evaluate(zs), dtype=complex)
-        return np.asarray(fi(zs), dtype=complex) * np.ones_like(zs)
-
-    if isinstance(f, GaussianAnsatz) or callable(f):
-        parts = [one(f) for _ in range(components)]
-    else:
-        parts = [one(fi) for fi in f]
-        if len(parts) != components:
-            raise ShapeError(f"{components} components requested, {len(parts)} samplers given")
-    return Field(grid, components, np.concatenate(parts))
+    parts = [f] if isinstance(f, GaussianAnsatz) or callable(f) else list(f)
+    return Field(grid, len(parts), np.ravel([
+        evaluate(fi, zs) if isinstance(fi, GaussianAnsatz)
+        else np.asarray(fi(zs), dtype=complex) * np.ones_like(zs) for fi in parts]))
 
 
 def localization_fraction(fld: Field, radius: float) -> float:
@@ -168,28 +186,20 @@ def localization_fraction(fld: Field, radius: float) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _axis_first(grid: GridSpec) -> sp.csr_matrix:
-    n, h = grid.n, grid.h
-    e = np.ones(n - 1) / (2.0 * h)
-    return sp.diags([e, -e], [1, -1], format="csr")
-
-
-@lru_cache(maxsize=None)
-def _axis_second(grid: GridSpec) -> sp.csr_matrix:
-    n, h = grid.n, grid.h
-    e = np.ones(n - 1)
-    return (sp.diags([e, -2.0 * np.ones(n), e], [1, 0, -1]) / h ** 2).tocsr()
-
-
-@lru_cache(maxsize=None)
 def _axis_power(grid: GridSpec, p: int) -> sp.csr_matrix:
-    """Minimal-bandwidth O(h^2) central stencil for the p-th axis derivative."""
+    """Minimal-bandwidth O(h^2) central stencil for the p-th axis derivative:
+    the central first difference (p = 1) or the compact second difference
+    (p = 2), times the second difference for every further two powers."""
+    n, h = grid.n, grid.h
     if p == 0:
-        return sp.identity(grid.n, format="csr")
-    m = _axis_second(grid) if p % 2 == 0 else _axis_first(grid)
-    for _ in range(p // 2 - (1 if p % 2 == 0 else 0)):
-        m = m @ _axis_second(grid)
-    return m.tocsr()
+        return sp.identity(n, format="csr")
+    if p == 1:
+        e = np.ones(n - 1) / (2.0 * h)
+        return sp.diags([e, -e], [1, -1], format="csr")
+    if p == 2:
+        e = np.ones(n - 1)
+        return (sp.diags([e, -2.0 * np.ones(n), e], [1, 0, -1]) / h ** 2).tocsr()
+    return (_axis_power(grid, p - 2) @ _axis_power(grid, 2)).tocsr()
 
 
 @lru_cache(maxsize=None)
@@ -234,22 +244,24 @@ def _multiplier(zs: np.ndarray, pow_z: int, pow_zbar: int) -> np.ndarray:
 def discretize_expression(e: OperatorExpression, grid: GridSpec) -> sp.csr_matrix:
     """Sparse matrix of one scalar operator expression on the grid.
 
-    Each term is its Wirtinger stencil with every row scaled by the
-    multiplier at its node (``_multiplier``) and by the coefficient, taken
-    as a float when its imaginary part is zero.  The terms are summed from
-    the first one, so the matrix is float64 when every term is real and
-    complex128 otherwise; an expression with no term gives an empty float64
-    matrix.
+    Each term of the stored form, in sorted signature order, is its
+    Wirtinger stencil with every row scaled by the multiplier at its node
+    (``_multiplier``) and by the coefficient complex(a / den, b / den),
+    taken as a float when its imaginary part is zero.  The terms are summed
+    from the first one, so the matrix is float64 when every term is real
+    and complex128 otherwise; an expression with no term gives an empty
+    float64 matrix.
     """
     zs = grid.nodes()
     out = sp.csr_matrix((grid.num_nodes, grid.num_nodes))
-    for i, t in enumerate(e.terms):
-        mat = _wirtinger_matrix(grid, t.pow_d, t.pow_dbar)
-        if t.pow_z or t.pow_zbar:  # each row times the multiplier at its node
-            mult = _multiplier(zs, t.pow_z, t.pow_zbar)
+    den = e._den
+    for i, ((pz, pzb, pd, pdb), (a, b)) in enumerate(sorted(e._num.items())):
+        mat = _wirtinger_matrix(grid, pd, pdb)
+        if pz or pzb:  # each row times the multiplier at its node
+            mult = _multiplier(zs, pz, pzb)
             mat = sp.csr_matrix((mat.data * np.repeat(mult, np.diff(mat.indptr)),
                                  mat.indices, mat.indptr), shape=mat.shape)
-        coeff = complex(t.coeff)
+        coeff = complex(a / den, b / den)
         term = (coeff if coeff.imag else coeff.real) * mat
         out = out + term if i else term
     out = out.tocsr()

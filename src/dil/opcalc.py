@@ -24,11 +24,12 @@ product (``compose``, ``*``, ``adjoint`` and ``normal_order``) runs through one
 kernel, ``_products``: it reads each factor's stored form, adds every
 contraction of every (left, right) pair of a result entry as plain ints over
 one common denominator, and divides the sum through by one gcd, so there is
-one gcd per product entry and no sort.  Rendering and numeric evaluation
-read the stored ints too.  Every ``OperatorTerm`` passes its one constructor,
-which checks and coerces its coefficient and powers; ``terms`` is a view, the
-sorted tuple of terms with reduced coefficients, built through that
-constructor on each read.
+one gcd per product entry and no sort.  Rendering reads the stored ints
+too; :mod:`dil.lattice` turns them into floating-point numbers.  Every
+``OperatorTerm`` passes its one constructor, which checks and coerces its
+coefficient and powers, and is immutable; ``terms`` is a view, the sorted
+tuple of terms with reduced coefficients, built through that constructor on
+each read.
 
 The formal adjoint is the L2 one: z -> zb (as multiplication), d -> -db,
 db -> -d, coefficients conjugated, factor order reversed.
@@ -49,6 +50,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -172,34 +174,53 @@ def as_scalar(x: RationalLike | ComplexRational) -> ComplexRational:
     return x if isinstance(x, ComplexRational) else ComplexRational(x)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+_TERM_FIELDS = ("coeff", "pow_z", "pow_zbar", "pow_d", "pow_dbar")
+_term_values = attrgetter(*("_" + name for name in _TERM_FIELDS))
+
+
+def _power(name: str, p) -> int:
+    """A power of a term as an int: a non-negative int or numpy integer."""
+    if type(p) is not int and isinstance(p, np.integer):
+        p = int(p)
+    if type(p) is not int or p < 0:  # a bool is no power
+        raise ValueError(f"{name} must be a non-negative integer, got {p!r}")
+    return p
+
+
 class OperatorTerm:
-    """Normal-ordered monomial coeff * z^a * zb^b * d^c * db^d; immutable by convention.
+    """Normal-ordered monomial coeff * z^a * zb^b * d^c * db^d; immutable.
 
     Every term passes this one constructor: ``coeff`` goes through
     ``as_scalar``, and each power must be a non-negative int or numpy
-    integer (not a bool), and is stored as an int.
+    integer (not a bool), and is stored as an int.  The fields are
+    read-only properties over private slots.
     """
 
-    coeff: ComplexRational
-    pow_z: int = 0
-    pow_zbar: int = 0
-    pow_d: int = 0
-    pow_dbar: int = 0
+    __slots__ = tuple("_" + name for name in _TERM_FIELDS)
 
-    def __post_init__(self):
-        self.coeff = as_scalar(self.coeff)
-        for name in ("pow_z", "pow_zbar", "pow_d", "pow_dbar"):
-            p = getattr(self, name)
-            if type(p) is not int and isinstance(p, np.integer):
-                p = int(p)
-                setattr(self, name, p)
-            if type(p) is not int or p < 0:  # a bool is no power
-                raise ValueError(f"{name} must be a non-negative integer, got {p!r}")
+    def __init__(self, coeff: RationalLike | ComplexRational, pow_z: int = 0,
+                 pow_zbar: int = 0, pow_d: int = 0, pow_dbar: int = 0):
+        self._coeff = as_scalar(coeff)
+        self._pow_z = _power("pow_z", pow_z)
+        self._pow_zbar = _power("pow_zbar", pow_zbar)
+        self._pow_d = _power("pow_d", pow_d)
+        self._pow_dbar = _power("pow_dbar", pow_dbar)
 
-    @property
-    def signature(self) -> tuple[int, int, int, int]:
-        return (self.pow_z, self.pow_zbar, self.pow_d, self.pow_dbar)
+    coeff, pow_z, pow_zbar, pow_d, pow_dbar = (
+        property(attrgetter("_" + name)) for name in _TERM_FIELDS)
+    signature = property(attrgetter("_pow_z", "_pow_zbar", "_pow_d", "_pow_dbar"))
+
+    def __eq__(self, other):
+        if type(other) is not OperatorTerm:
+            return NotImplemented
+        return _term_values(self) == _term_values(other)
+
+    def __hash__(self) -> int:
+        return hash(_term_values(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, _TERM_FIELDS, _term_values(self))
+        return f"OperatorTerm({', '.join(fields)})"
 
 
 # Gaussian-integer numerators over one denominator: (den, {(pow_z, pow_zbar,
@@ -230,14 +251,14 @@ class OperatorExpression:
     def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpression":
         """Terms summed as Gaussian-integer numerators over the lcm of their
         denominators, then canonicalized."""
-        terms = tuple(terms)
-        den = math.lcm(*(t.coeff._d for t in terms))
+        coeffs = [(t._coeff, t.signature) for t in terms]
+        den = math.lcm(*(c._d for c, _ in coeffs))
         acc: dict[Signature, list[int]] = {}
-        for t in terms:
-            s = den // t.coeff._d
-            v = acc.setdefault(t.signature, [0, 0])
-            v[0] += t.coeff._a * s
-            v[1] += t.coeff._b * s
+        for c, sig in coeffs:
+            s = den // c._d
+            v = acc.setdefault(sig, [0, 0])
+            v[0] += c._a * s
+            v[1] += c._b * s
         return _canonical(den, acc)
 
     @property
@@ -493,12 +514,6 @@ class GaussianAnsatz:
             raise ValueError("cannot add ansatz functions with different decay rates")
         return GaussianAnsatz(self.alpha, self.factor + other.factor)
 
-    def evaluate(self, zs):
-        """Numeric values at complex points (scalar or ndarray)."""
-        zs = np.asarray(zs, dtype=complex)
-        decay = np.exp(-float(self.alpha) * np.abs(zs) ** 2)
-        return evaluate_multiplication(self.factor, zs) * decay
-
 
 def gaussian(alpha: RationalLike,
              poly: Mapping[tuple[int, int], ComplexRational | RationalLike] | None = None
@@ -590,18 +605,6 @@ def gaussian_inner(f: GaussianAnsatz, g: GaussianAnsatz) -> ComplexRational:
             if m == a + dd:
                 total = total + cf.conjugate() * cg * (math.factorial(m) / s ** (m + 1))
     return total
-
-
-def evaluate_multiplication(e: OperatorExpression, zs):
-    """Numeric values of a derivative-free expression at complex points."""
-    if any(pd or pdb for _, _, pd, pdb in e._num):
-        raise ValueError("expression contains derivatives; not a multiplication operator")
-    zs = np.asarray(zs, dtype=complex)
-    out = np.zeros_like(zs)
-    den = e._den
-    for (pz, pzb, _, _), (a, b) in sorted(e._num.items()):
-        out = out + complex(a / den, b / den) * zs ** pz * np.conj(zs) ** pzb
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,7 @@ its fill explodes.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -109,8 +110,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContourError, ShapeError, SolverError
-from .lattice import Field, GridSpec, json_payload, localization_fraction, max_abs
-from .opcalc import OperatorExpression, evaluate_multiplication
+from .lattice import Field, GridSpec, evaluate, json_payload, localization_fraction, max_abs
+from .opcalc import OperatorExpression
 from .susy import DefectOperatorSet, ModelSpec
 
 SHIFT = -0.5
@@ -707,12 +708,15 @@ def winding_number(multiplier: OperatorExpression, radius: float) -> int:
     in magnitude and one more doubling gives the same count.  An entry that
     vanishes on the contour, or one that needs more than 2^16 samples (a
     zero passes too close to the contour), raises ContourError rather than
-    returning an aliased count.
+    returning an aliased count.  A radius that is not a finite positive
+    real (a bool is none) raises ValueError before the first sample.
     """
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not 0 < radius < np.inf:
+        raise ValueError(f"contour radius must be finite and positive, got {radius!r}")
     samples, count = 64, None
     while samples <= CONTOUR_SAMPLES_CAP:
         zs = radius * np.exp(2j * np.pi * np.arange(samples + 1) / samples)
-        vals = evaluate_multiplication(multiplier, zs)
+        vals = evaluate(multiplier, zs)
         if np.min(np.abs(vals)) < 1e-12:
             raise ContourError(
                 f"mass entry vanishes on the contour |z| = {radius}; winding undefined")

@@ -201,12 +201,11 @@ class Parity(enum.Enum):
 
 
 def parity_classify(a, w, tol: float = 1e-10) -> Parity:
-    """Even if a commutes with the grading, odd if it anticommutes."""
+    """Even if a commutes with the grading, odd if it anticommutes; a zero
+    matrix commutes, and is even."""
     if a.shape != w.shape:
         raise ShapeError(f"operator shape {a.shape} does not match grading {w.shape}")
     scale = max_abs(a)
-    if scale == 0.0:
-        return Parity.EVEN
     wa = w @ a
     aw = a @ w
     if max_abs(wa - aw) <= tol * scale:

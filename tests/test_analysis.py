@@ -31,8 +31,7 @@ def test_fit_recovers_exact_sampled_gaussian(desk_grid):
 
 def test_fit_recovers_scaled_two_component_gaussian(desk_grid):
     # component mix is radius-independent, so the profile stays a pure gaussian
-    pair = sample(desk_grid, [gaussian("0.8", {(0, 0): "0.9"}), gaussian("0.8")],
-                  components=2)
+    pair = sample(desk_grid, [gaussian("0.8", {(0, 0): "0.9"}), gaussian("0.8")])
     fit = fit_gaussian_decay(pair)
     assert fit.alpha == pytest.approx(0.8, abs=1e-6)
 

@@ -264,6 +264,19 @@ def test_index_pass_exit_code(fast_config, tmp_path):
     assert (tmp_path / "index_spectrum_plus.csv").exists()
 
 
+def test_index_without_out_prints_the_report(fast_config, tmp_path, monkeypatch, capsys):
+    # the same bytes as the report file, on stdout, and no side file
+    out = tmp_path / "index.json"
+    assert main(["index", "--config", fast_config, "--serial", "--out", str(out)]) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main(["index", "--config", fast_config, "--serial"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert not any(run_dir.iterdir())
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------

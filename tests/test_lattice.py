@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dil import (BlockOperator, Field, GridSpec, ModelSpec, ZeroFieldError, adjoint,
-                 build_operator_set, crat, discretize, field_to_csv, gaussian,
+from dil import (BlockOperator, Field, GridSpec, ModelSpec, ShapeError, ZeroFieldError,
+                 adjoint, build_operator_set, crat, discretize, field_to_csv, gaussian,
                  gaussian_apply, localization_fraction, monomial,
                  operator_set_from_block, sample)
 from dil.lattice import (_axis_power, _multiplier, _wirtinger_matrix,
-                         discretize_expression, max_abs)
-from dil.opcalc import D, DBAR, Z, ZBAR, OperatorExpression, OperatorTerm
+                         discretize_expression, evaluate, max_abs)
+from dil.opcalc import D, DBAR, ONE, Z, ZBAR, OperatorExpression, OperatorTerm
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
 
@@ -58,6 +58,13 @@ def test_grid_validation():
             GridSpec(bad, 16)
 
 
+def test_grid_refuses_a_half_width_that_is_no_real_number():
+    # True passed as L = 1, and "5" raised a bare TypeError from the comparison
+    for bad in (True, "5"):
+        with pytest.raises(ValueError, match="half-width"):
+            GridSpec(bad, 16)
+
+
 def test_grid_accepts_numpy_integers():
     # the stencil caches key on the grid, so it must equal and hash alike
     g = GridSpec(5.0, np.int64(96))
@@ -73,6 +80,42 @@ def test_field_requires_finite_values():
     bad = np.full(g.num_nodes, np.nan, dtype=complex)
     with pytest.raises(ValueError):
         Field(g, 1, bad)
+
+
+def test_field_refuses_a_bad_shape():
+    g = GridSpec(4.0, 8)
+    with pytest.raises(ShapeError, match="at least one component"):
+        Field(g, 0, np.zeros(0))
+    with pytest.raises(ShapeError, match="expected 64 values"):
+        Field(g, 1, np.zeros(63))
+    # the same number of nodes on another box
+    with pytest.raises(ShapeError, match="different spaces"):
+        Field.zeros(g).inner(Field.zeros(GridSpec(5.0, 8)))
+
+
+def test_evaluate_takes_every_power_through_the_multiplier():
+    g = GridSpec(4.0, 9)
+    zs = g.nodes()
+    e = Z * ZBAR * crat(2) + Z * Z * ZBAR + ONE
+    assert np.array_equal(evaluate(Z * ZBAR, zs), _multiplier(zs, 1, 1))
+    assert not evaluate(Z * ZBAR, zs).imag.any()
+    assert np.array_equal(evaluate(e, zs), 1 + 2 * _multiplier(zs, 1, 1) + _multiplier(zs, 2, 1))
+    f = gaussian("1/2", {(2, 1): 1, (1, 1): 2, (0, 0): 1})
+    assert np.array_equal(evaluate(f, zs), evaluate(e, zs) * np.exp(-0.5 * np.abs(zs) ** 2))
+    assert evaluate(f, 0.0) == 1.0
+    with pytest.raises(ValueError, match="derivatives"):
+        evaluate(Z * D, zs)
+
+
+def test_sample_takes_one_component_per_entry():
+    g = GridSpec(4.0, 9)
+    assert sample(g, gaussian(1)).components == sample(g, np.exp).components == 1
+    three = sample(g, [gaussian(1), np.exp, gaussian(2)])
+    assert three.components == 3
+    assert np.array_equal(three.values[:g.num_nodes], sample(g, gaussian(1)).values)
+    assert np.array_equal(three.values[2 * g.num_nodes:], sample(g, gaussian(2)).values)
+    with pytest.raises(ShapeError, match="at least one component"):
+        sample(g, [])
 
 
 def test_sample_constant_and_gaussian_point_values():
@@ -319,8 +362,8 @@ def test_wirtinger_stencils_are_real_exactly_when_c_equals_d():
 def test_norms_invariant_under_quarter_rotation():
     g = GridSpec(5.0, 64)
     f = sample(g, gaussian(1, {(1, 1): crat(1), (0, 0): crat(2)}))
-    rotated = sample(g, lambda z: gaussian(
-        1, {(1, 1): crat(1), (0, 0): crat(2)}).evaluate(1j * z))
+    rotated = sample(g, lambda z: evaluate(gaussian(
+        1, {(1, 1): crat(1), (0, 0): crat(2)}), 1j * z))
     assert abs(f.norm() - rotated.norm()) <= 1e-12
     assert abs(f.norm() ** 2 - abs(f.inner(f))) <= 1e-12
 
@@ -332,7 +375,7 @@ def test_norms_invariant_under_quarter_rotation():
 def test_field_csv_round_trip(tmp_path):
     # the one CSV writer: a header, then every value exactly, read back by csv
     g = GridSpec(4.0, 12)
-    f = sample(g, [gaussian(1), gaussian(2)], components=2)
+    f = sample(g, [gaussian(1), gaussian(2)])
     path = tmp_path / "field.csv"
     field_to_csv(f, path)
     with open(path, newline="") as fh:

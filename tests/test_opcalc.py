@@ -678,6 +678,47 @@ def test_operator_term_takes_numpy_integer_powers_as_ints():
             OperatorTerm(crat(1), 0, bad)
 
 
+@pytest.mark.parametrize("field, value", [("coeff", 1), ("pow_z", -1), ("pow_zbar", 2),
+                                          ("pow_d", 1), ("pow_dbar", 1)])
+def test_operator_term_is_immutable(field, value):
+    # a field set after the checked constructor would reach from_terms unchecked
+    t = OperatorTerm(crat(1), 1)
+    with pytest.raises(AttributeError):
+        setattr(t, field, value)
+    assert t == OperatorTerm(crat(1), 1) and OperatorExpression.from_terms([t]) == Z
+
+
+# --------------------------------------------------------------------------
+# refusal paths of blocks, ansatz vectors and expressions
+# --------------------------------------------------------------------------
+
+def test_block_operator_refuses_a_bad_shape():
+    with pytest.raises(ShapeError, match="positive"):
+        BlockOperator(0, 1, ())
+    with pytest.raises(ShapeError, match="expected 4 entries"):
+        BlockOperator(2, 2, (Z, D, Z))
+    # six entries in three rows of two, but ragged
+    with pytest.raises(ShapeError, match="ragged"):
+        BlockOperator.from_rows([[Z, D], [Z], [D, Z, ONE]])
+    with pytest.raises(ShapeError, match="shapes differ"):
+        BlockOperator.from_rows([[Z, D]]) + BlockOperator.from_rows([[Z], [D]])
+
+
+def test_block_gaussian_apply_refuses_a_bad_vector():
+    with pytest.raises(ShapeError, match="columns"):
+        block_gaussian_apply(DEFECT, [gaussian(1)])
+    with pytest.raises(ValueError, match="share one decay rate"):
+        block_gaussian_apply(DEFECT, [gaussian(1), gaussian(2)])
+    with pytest.raises(ValueError, match="different decay rates"):
+        gaussian(1) + gaussian(2)
+
+
+def test_expression_equals_only_an_expression_and_prints_its_rendering():
+    e = Z * D + ONE.scale(crat(Fraction(1, 2), -3))
+    assert (e == 1) is False and (ONE == 1) is False
+    assert str(e) == render_expression(e)
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-40, 40), rng.randint(1, 36))
 

@@ -1056,9 +1056,8 @@ def test_winding_invariant_under_positive_scaling():
     scaled = Z.scale("0.5")  # z*(1 - eps f1) with eps f1 = 0.5
     assert winding_number(scaled, radius=1.0) == 1
     base = np.exp(2j * np.pi * np.arange(257) / 256)
-    from dil.opcalc import evaluate_multiplication
-    phases = np.angle(evaluate_multiplication(scaled, base)
-                      / evaluate_multiplication(Z, base))
+    from dil.lattice import evaluate
+    phases = np.angle(evaluate(scaled, base) / evaluate(Z, base))
     assert np.max(np.abs(phases)) <= 1e-12
 
 
@@ -1099,6 +1098,17 @@ def test_winding_near_a_zero_raises_at_the_sample_cap(offset):
     near = Z - ONE * crat(Fraction(zero.real), Fraction(zero.imag))
     with pytest.raises(ContourError, match="too close to a zero"):
         winding_number(near, radius=1.0)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0, 0.0, True, "1"])
+def test_winding_refuses_a_radius_before_the_first_sample(monkeypatch, radius):
+    # nan doubled its samples to the cap and blamed a zero near the contour,
+    # inf warned, and -1.0 and True returned a count
+    def sampled(multiplier, zs):
+        raise AssertionError("the contour was sampled")
+    monkeypatch.setattr(spectral, "evaluate", sampled)
+    with pytest.raises(ValueError, match="contour radius"):
+        winding_number(Z, radius)
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from dil import (BlockOperator, Field, GradedOperator, GradedVector,
                  ShapeError, block_gaussian_apply, build_defect_operator,
                  build_operator_set, build_susy_quartet,
                  compact_perturbation, compose, crat, discretize, gaussian,
-                 graded_apply, monomial, parity_classify,
-                 physical_state_embed, project, sample)
+                 graded_apply, monomial, operator_set_from_block,
+                 parity_classify, physical_state_embed, project, sample)
 from dil.opcalc import D, DBAR, Z, ZBAR, ZERO
 
 SMALL = GridSpec(4.0, 12)
@@ -164,6 +164,18 @@ def test_parity_classify_indefinite():
     assert parity_classify(b, w) is Parity.INDEFINITE
 
 
+def test_parity_classify_refuses_a_shape_mismatch_and_calls_zero_even():
+    with pytest.raises(ShapeError, match="does not match grading"):
+        parity_classify(np.eye(4), _dense_w(3))
+    assert parity_classify(np.zeros((6, 6)), _dense_w(3)) is Parity.EVEN
+    assert parity_classify(sp.csr_matrix((6, 6)), sp.csr_matrix(_dense_w(3))) is Parity.EVEN
+
+
+def test_operator_set_needs_a_square_block():
+    with pytest.raises(ShapeError, match="square"):
+        operator_set_from_block(BlockOperator.from_rows([[D, ZBAR]]), SMALL)
+
+
 # --------------------------------------------------------------------------
 # graded vectors and operators
 # --------------------------------------------------------------------------
@@ -189,9 +201,23 @@ def test_project_parity_eigenstates():
     assert np.array_equal(plus.to_vector() + minus.to_vector(), v.to_vector())
 
 
+def test_graded_vector_refuses_mismatched_sectors():
+    g = GridSpec(4.0, 8)
+    with pytest.raises(ShapeError, match="share grid"):
+        GradedVector(Field.zeros(g, 1), Field.zeros(GridSpec(5.0, 8), 1))
+    with pytest.raises(ShapeError, match="doubled vector"):
+        GradedVector.from_vector(g, 1, np.zeros(2 * g.num_nodes + 1, dtype=complex))
+
+
+def test_project_refuses_a_sign_that_is_not_one():
+    v = GradedVector.from_vector(SMALL, 1, np.ones(2 * SMALL.num_nodes, dtype=complex))
+    with pytest.raises(ValueError, match="sign"):
+        project(v, 0)
+
+
 def test_physical_state_embedding():
     g = GridSpec(4.0, 16)
-    pair = sample(g, [gaussian(1), gaussian(1)], components=2)
+    pair = sample(g, [gaussian(1), gaussian(1)])
     psi = physical_state_embed(pair)
     assert np.all(psi.plus.values == 0)
     assert np.array_equal(psi.minus.values, pair.values)
@@ -260,6 +286,14 @@ def test_graded_apply_rejects_indefinite_and_leaky_operators():
     mislabeled = GradedOperator(even + 0.1 * odd, Parity.EVEN)
     with pytest.raises(ParityError):
         graded_apply(mislabeled, v)
+
+
+def test_graded_apply_refuses_a_shape_mismatch():
+    rng = np.random.default_rng(6)
+    g = GridSpec(4.0, 8)
+    even, _, w = _random_even_odd(rng, 3)
+    with pytest.raises(ShapeError, match="does not match vector"):
+        graded_apply(GradedOperator.classify(even, w), _random_graded_vector(rng, g))
 
 
 def test_graded_apply_matches_plain_matvec():
