@@ -170,9 +170,14 @@ def sample(grid: GridSpec,
 
 
 def localization_fraction(fld: Field, radius: float) -> float:
-    """Share of the squared L2 mass inside the open disk |z| < radius."""
-    if not 0 < radius <= fld.grid.L:
-        raise ValueError(f"radius must lie in (0, L], got {radius}")
+    """Share of the squared L2 mass inside the open disk |z| < radius.
+
+    A radius that is not a real in (0, L] (a bool is none; nan and inf are
+    outside) raises ValueError.
+    """
+    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+            or not 0 < radius <= fld.grid.L):
+        raise ValueError(f"radius must be a real in (0, L], got {radius!r}")
     mass = fld.pointwise_abs2()
     total = mass.sum()
     if total <= 0.0:

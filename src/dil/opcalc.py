@@ -24,8 +24,12 @@ product (``compose``, ``*``, ``adjoint`` and ``normal_order``) runs through one
 kernel, ``_products``: it reads each factor's stored form, adds every
 contraction of every (left, right) pair of a result entry as plain ints over
 one common denominator, and divides the sum through by one gcd, so there is
-one gcd per product entry and no sort.  Rendering reads the stored ints
-too; :mod:`dil.lattice` turns them into floating-point numbers.  Every
+one gcd per product entry and no sort.  Text goes straight to and from the
+stored ints: rendering writes each coefficient from its ints with one gcd
+per part, and parsing reads every numerator, denominator and power with
+``int`` and sums the terms over one denominator, so neither builds a
+``Fraction``, a ``ComplexRational`` or a term.  :mod:`dil.lattice` turns
+the stored ints into floating-point numbers.  Every
 ``OperatorTerm`` passes its one constructor, which checks and coerces its
 coefficient and powers, and is immutable; ``terms`` is a view, the sorted
 tuple of terms with reduced coefficients, built through that constructor on
@@ -145,8 +149,18 @@ class ComplexRational:
         return f"ComplexRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        sign = "+" if self._b >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        return _coefficient_text(self._a, self._b, self._d)
+
+
+def _coefficient_text(a: int, b: int, d: int) -> str:
+    """``(re+im i)`` for (a + b*i)/d with d > 0: each part in lowest terms,
+    written like ``str(Fraction)``, the imaginary sign always shown."""
+    g = math.gcd(a, d)
+    re = f"{a // g}" if g == d else f"{a // g}/{d // g}"
+    sign, b = ("+", b) if b >= 0 else ("-", -b)
+    g = math.gcd(b, d)
+    im = f"{b // g}" if g == d else f"{b // g}/{d // g}"
+    return f"({re}{sign}{im}i)"
 
 
 def _reduced(a: int, b: int, d: int) -> ComplexRational:
@@ -251,15 +265,8 @@ class OperatorExpression:
     def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpression":
         """Terms summed as Gaussian-integer numerators over the lcm of their
         denominators, then canonicalized."""
-        coeffs = [(t._coeff, t.signature) for t in terms]
-        den = math.lcm(*(c._d for c, _ in coeffs))
-        acc: dict[Signature, list[int]] = {}
-        for c, sig in coeffs:
-            s = den // c._d
-            v = acc.setdefault(sig, [0, 0])
-            v[0] += c._a * s
-            v[1] += c._b * s
-        return _canonical(den, acc)
+        return _summed([(t._coeff._a, t._coeff._b, t._coeff._d, t.signature)
+                        for t in terms])
 
     @property
     def terms(self) -> tuple[OperatorTerm, ...]:
@@ -323,6 +330,19 @@ def _expression(den: int, num: dict[Signature, tuple[int, int]]) -> OperatorExpr
     e = object.__new__(OperatorExpression)
     e._den, e._num = den, num
     return e
+
+
+def _summed(coeffs: Sequence[tuple[int, int, int, Signature]]) -> OperatorExpression:
+    """The canonical sum of (a + b*i)/d * signature over ``coeffs``, each
+    d > 0: the numerators are added as ints over the lcm of the d's."""
+    den = math.lcm(*(d for _, _, d, _ in coeffs))
+    acc: dict[Signature, list[int]] = {}
+    for a, b, d, sig in coeffs:
+        s = den // d
+        v = acc.setdefault(sig, [0, 0])
+        v[0] += a * s
+        v[1] += b * s
+    return _canonical(den, acc)
 
 
 def _canonical(den: int, acc: Mapping[Signature, Sequence[int]]) -> OperatorExpression:
@@ -615,7 +635,7 @@ def render_expression(e: OperatorExpression) -> str:
     if e.is_zero:
         return "0"
     den = e._den
-    return " + ".join(f"{_reduced(a, b, den)}*z^{z}*zb^{zb}*d^{d}*db^{db}"
+    return " + ".join(f"{_coefficient_text(a, b, den)}*z^{z}*zb^{zb}*d^{d}*db^{db}"
                       for (z, zb, d, db), (a, b) in sorted(e._num.items()))
 
 
@@ -624,22 +644,31 @@ def render_block(a: BlockOperator) -> list[list[str]]:
             for i in range(a.rows)]
 
 
-# denominators are nonzero, so a bad fraction fails the match, not Fraction()
+# numerators and denominators are captured apart; a denominator is nonzero,
+# so a zero one fails the match
 _TERM_RE = re.compile(
-    r"^\((-?\d+(?:/0*[1-9]\d*)?)([+-]\d+(?:/0*[1-9]\d*)?)i\)"
-    r"\*z\^(\d+)\*zb\^(\d+)\*d\^(\d+)\*db\^(\d+)$")
+    r"\((-?\d+)(?:/(0*[1-9]\d*))?([+-]\d+)(?:/(0*[1-9]\d*))?i\)"
+    r"\*z\^(\d+)\*zb\^(\d+)\*d\^(\d+)\*db\^(\d+)")
 
 
 def parse_expression(text: str) -> OperatorExpression:
-    """Inverse of :func:`render_expression` on canonical output."""
+    """Inverse of :func:`render_expression`.
+
+    Reads each term's numerators, denominators and powers as ints and sums
+    them like :meth:`OperatorExpression.from_terms`, so text that is not
+    canonical (unreduced fractions, leading zeros, a repeated signature)
+    parses to the value it denotes.
+    """
     text = text.strip()
     if text == "0":
         return ZERO
-    terms = []
+    coeffs = []
     for chunk in text.split(" + "):
-        m = _TERM_RE.match(chunk.strip())
+        m = _TERM_RE.fullmatch(chunk.strip())
         if m is None:
             raise ValueError(f"unparseable operator term: {chunk!r}")
-        re_s, im_s, pz, pzb, pd, pdb = m.groups()
-        terms.append(OperatorTerm(crat(re_s, im_s), int(pz), int(pzb), int(pd), int(pdb)))
-    return OperatorExpression.from_terms(terms)
+        a, p, b, q, pz, pzb, pd, pdb = m.groups()
+        p, q = int(p) if p else 1, int(q) if q else 1
+        coeffs.append((int(a) * q, int(b) * p, p * q,
+                       (int(pz), int(pzb), int(pd), int(pdb))))
+    return _summed(coeffs)

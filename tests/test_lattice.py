@@ -177,8 +177,12 @@ def test_localization_zero_field_raises():
 def test_localization_radius_validation():
     g = GridSpec(5.0, 16)
     f = sample(g, gaussian(1))
-    with pytest.raises(ValueError):
-        localization_fraction(f, 6.0)
+    # True was taken as the radius 1 and "2" escaped as a bare TypeError;
+    # 6.0 is L + 1
+    for radius in (True, "2", math.nan, math.inf, 0, 6.0):
+        with pytest.raises(ValueError, match="radius must be a real in"):
+            localization_fraction(f, radius)
+    assert localization_fraction(f, np.float64(5.0)) == localization_fraction(f, 5)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -586,6 +587,16 @@ def test_render_fractional_complex_coefficients():
     text = render_expression(e)
     assert text == "(7/10-1/3i)*z^2*zb^1*d^1*db^0"
     assert parse_expression(text) == e
+    # integer-valued, negative imaginary and multi-digit parts
+    for coeff, text in ((crat(3, -1), "(3-1i)"),
+                        (crat(Fraction(-7, 2), Fraction(5, 3)), "(-7/2+5/3i)"),
+                        (crat(Fraction(-123, 10), -45), "(-123/10-45i)"),
+                        (crat(0, Fraction(-1001, 999)), "(0-1001/999i)"),
+                        (crat(250), "(250+0i)")):
+        e = monomial(coeff, 1, 0, 2, 0)
+        assert str(coeff) == text
+        assert render_expression(e) == f"{text}*z^1*zb^0*d^2*db^0"
+        assert parse_expression(render_expression(e)) == e
 
 
 @pytest.mark.parametrize("half", [0.5, "1/2", Fraction(1, 2), crat(Fraction(1, 2))])
@@ -637,6 +648,59 @@ def test_parser_rejects_garbage():
                  "(1-1/00i)*z^0*zb^0*d^0*db^0"):
         with pytest.raises(ValueError):
             parse_expression(text)
+    # a malformed chunk between two good ones is named in the error
+    for chunk in ("(1/0+0i)*z^0*zb^0*d^0*db^0", "(1-1/00i)*z^0*zb^0*d^0*db^0",
+                  "(1/-2+0i)*z^0*zb^0*d^0*db^0", "(+1+0i)*z^0*zb^0*d^0*db^0",
+                  "(1+0)*z^0*zb^0*d^0*db^0", "(1.5+0i)*z^0*zb^0*d^0*db^0",
+                  "(1+0i)*z^-1*zb^0*d^0*db^0", "(1+0i)*z^1*zb",
+                  "(1+0i)*z^0*zb^0*d^0*db^0*", "0", ""):
+        text = f"(1+0i)*z^0*zb^0*d^0*db^0 + {chunk} + (2+0i)*z^1*zb^0*d^0*db^0"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unparseable operator term: {chunk!r}")):
+            parse_expression(text)
+
+
+def _text_and_reference(parts, joiner=" + "):
+    # the term-by-term reference: each coefficient through crat and the
+    # checked OperatorTerm, then from_terms
+    text = joiner.join(f"({re_s}{im_s}i)*z^{pz}*zb^{pzb}*d^{pd}*db^{pdb}"
+                       for re_s, im_s, (pz, pzb, pd, pdb) in parts)
+    return text, OperatorExpression.from_terms(
+        [OperatorTerm(crat(re_s, im_s), *sig) for re_s, im_s, sig in parts])
+
+
+@pytest.mark.parametrize("parts, joiner, expected", [
+    ([("2/4", "+0", (0, 0, 0, 0))], " + ", monomial(Fraction(1, 2))),
+    ([("-0/005", "+7/007", (1, 0, 0, 0))], " + ", monomial(crat(0, 1), pow_z=1)),
+    ([("1/2", "-1/3", (1, 1, 0, 0)), ("3", "+0", (0, 0, 1, 0)),
+      ("1/3", "+1/6", (1, 1, 0, 0))], " + ",
+     monomial(crat(Fraction(5, 6), Fraction(-1, 6)), 1, 1) + monomial(3, pow_d=1)),
+    ([("1/2", "+1", (0, 1, 0, 1)), ("-2/4", "-01", (0, 1, 0, 1))], " + ", ZERO),
+    ([("007", "-0", (2, 0, 0, 0)), ("-1/1", "+2/02", (0, 0, 0, 3))], "  +  ",
+     monomial(7, pow_z=2) + monomial(crat(-1, 1), pow_dbar=3)),
+])
+def test_parser_reads_non_canonical_text_like_a_term_by_term_reference(parts, joiner, expected):
+    text, reference = _text_and_reference(parts, joiner)
+    assert parse_expression(f"  {text} ") == reference == expected
+    assert render_expression(parse_expression(text)) == render_expression(expected)
+
+
+def test_parser_agrees_with_a_term_by_term_reference_on_random_text():
+    rng = random.Random(47)
+
+    def digits(lo, hi):
+        return "0" * rng.randint(0, 2) + str(rng.randint(lo, hi))
+
+    def part():
+        return digits(0, 30) + (f"/{digits(1, 12)}" if rng.random() < 0.6 else "")
+
+    for _ in range(300):
+        parts = [(rng.choice(("", "-")) + part(), rng.choice("+-") + part(),
+                  tuple(rng.randint(0, 2) for _ in range(4)))
+                 for _ in range(rng.randint(1, 6))]
+        parts += rng.sample(parts, rng.randint(0, len(parts)))  # repeated signatures
+        text, reference = _text_and_reference(parts)
+        assert parse_expression(text) == reference
 
 
 # --------------------------------------------------------------------------
