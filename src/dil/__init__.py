@@ -22,8 +22,8 @@ from .opcalc import (BlockOperator, ComplexRational, GaussianAnsatz,  # noqa: E4
                      parse_expression, render_expression)
 from .lattice import (Field, GridSpec, discretize, evaluate,  # noqa: E402
                       field_to_csv, localization_fraction, sample)
-from .susy import (DefectOperatorSet, GradedOperator, GradedVector,  # noqa: E402
-                   ModelSpec, Parity, SusyQuartet, build_defect_operator,
+from .susy import (DefectOperatorSet, GradedVector, ModelSpec,  # noqa: E402
+                   Parity, SusyQuartet, build_defect_operator,
                    build_operator_set, build_susy_quartet,
                    compact_perturbation, graded_apply,
                    operator_set_from_block, parity_classify,
@@ -51,7 +51,7 @@ __all__ = [
     "field_to_csv",
     # susy
     "ModelSpec", "DefectOperatorSet", "SusyQuartet", "GradedVector",
-    "GradedOperator", "Parity", "build_defect_operator", "build_operator_set",
+    "Parity", "build_defect_operator", "build_operator_set",
     "operator_set_from_block", "compact_perturbation", "build_susy_quartet",
     "parity_classify", "project", "graded_apply", "physical_state_embed",
     # spectral

@@ -31,14 +31,15 @@ class DecayFit:
     n_nodes: int
 
 
-def fit_gaussian_decay(mode: Field, r_min: float = 0.5, r_max: float = 2.5,
-                       min_nodes: int = 30) -> DecayFit:
+def fit_gaussian_decay(mode: Field) -> DecayFit:
     """Weighted least-squares slope of log|mode| against -|z|^2.
 
-    Nodes inside the annulus r_min <= |z| <= r_max enter with weight equal
-    to the squared pointwise magnitude, which suppresses the noise-dominated
-    far tail without hiding it.
+    Nodes inside the annulus 0.5 <= |z| <= 2.5 enter with weight equal to
+    the squared pointwise magnitude, which suppresses the noise-dominated
+    far tail without hiding it.  Fewer than 30 usable nodes there raise
+    FitWindowError.
     """
+    r_min, r_max, min_nodes = 0.5, 2.5, 30
     r = np.abs(mode.grid.nodes())
     amp2 = mode.pointwise_abs2()
     keep = (r >= r_min) & (r <= r_max) & (amp2 > 0)
@@ -180,6 +181,7 @@ def convergence_study(grids: Sequence[GridSpec],
                              monotone_smallest=mono0, monotone_second=mono1)
 
 
+ALGEBRA_TOL = 1e-12  # largest relative residual a passing algebra check has
 ALGEBRA_RELATIONS = ("Q^2", "Qdag^2", "{Q,Qdag}-H", "[W,H]", "{W,Q}",
                      "{W,Qdag}", "W^2-I")
 
@@ -194,8 +196,9 @@ class AlgebraReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_residual <= tol
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= ALGEBRA_TOL
 
     def to_json_dict(self) -> dict:
         return {**json_payload(self), "max_residual": self.max_residual}

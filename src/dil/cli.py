@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import __version__
-from .analysis import (ConvergenceRow, SweepRow, algebra_check, convergence_study,
-                       fit_gaussian_decay, perturbation_sweep)
+from .analysis import (ALGEBRA_TOL, ConvergenceRow, SweepRow, algebra_check,
+                       convergence_study, fit_gaussian_decay, perturbation_sweep)
 from .errors import ConfigError, DilError, ModelError, SolverError
 from .lattice import GridSpec, field_to_csv, write_csv
 from .opcalc import render_expression
@@ -208,8 +208,8 @@ def _run_algebra_check(cfg: ExperimentConfig) -> tuple[dict, bool, SideFiles]:
     quartet = build_susy_quartet(op_set.D_mat)
     report = algebra_check(quartet)
     results = report.to_json_dict()
-    results["tolerance"] = 1e-12
-    return results, report.passed(1e-12), []
+    results["tolerance"] = ALGEBRA_TOL
+    return results, report.passed, []
 
 
 def _csv(header: list[str], rows: list[dict]) -> Callable[[Path], None]:

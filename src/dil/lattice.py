@@ -105,8 +105,9 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.components < 1:
-            raise ShapeError("field needs at least one component")
+        if (isinstance(self.components, bool)
+                or not isinstance(self.components, numbers.Integral) or self.components < 1):
+            raise ShapeError(f"field needs at least one component, got {self.components!r}")
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.components * self.grid.num_nodes,):
             raise ShapeError(

@@ -429,8 +429,10 @@ class BlockOperator:
     entries: tuple[OperatorExpression, ...]
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ShapeError("block dimensions must be positive")
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) or d <= 0
+               for d in (self.rows, self.cols)):
+            raise ShapeError(
+                f"block dimensions must be positive integers, got {self.rows!r} x {self.cols!r}")
         if len(self.entries) != self.rows * self.cols:
             raise ShapeError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}")

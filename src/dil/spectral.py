@@ -118,6 +118,10 @@ SHIFT = -0.5
 ORDERING = "MMD_AT_PLUS_A"
 CONTOUR_SAMPLES_CAP = 2 ** 16
 LOC_MIN = 0.95  # least share of a counted mode's mass inside the census disk
+# relative residual figure, 1e-11 to one ulp above: the residual bound is it
+# times the largest summed entry magnitude (at least 1), _factor's gate is it
+RESIDUAL_REL = 100.0 * 1e-13
+PAIRING_TOL = 0.05  # largest gap between two partner levels that pairing_check matches
 
 # glibc raises its mmap threshold to the size of each mapped block that is
 # freed, up to 32 MiB, so after a few solves the factorization's arrays (a
@@ -317,7 +321,7 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
         if swap is not None:
             sector, offset = swap
 
-    residual_bound = 100.0 * 1e-13 * max(scale, 1.0)
+    residual_bound = RESIDUAL_REL * max(scale, 1.0)
     wanted = -(-k // 2) if offset == 0.0 else k
     kron = _kron_sum(sector, grid) if sector.shape[0] == n2 else None
     phases = None
@@ -545,7 +549,7 @@ def _factor(form: sp.csr_matrix, shift: float) -> tuple[Optional[spla.SuperLU], 
     "", or None and the check it failed: a zero pivot left the diagonal (the
     row and column permutations differ), S - shift is exactly singular, or
     the residual of one solve, with a fixed random right-hand side b,
-    exceeds 1e-11 (the relative figure of the residual bound) times
+    exceeds RESIDUAL_REL (1e-11, the relative figure of the residual bound) times
     (|S|_inf + |shift|) |x|_inf + |b|_inf.
     """
     dim = form.shape[0]
@@ -562,8 +566,8 @@ def _factor(form: sp.csr_matrix, shift: float) -> tuple[Optional[spla.SuperLU], 
     x = lu.solve(b)
     backward = np.abs(form @ x - shift * x - b).max() / (
         (spla.norm(form, np.inf) + abs(shift)) * np.abs(x).max() + np.abs(b).max())
-    if not backward <= 1e-11:
-        return None, f"backward error {backward:.1e} of one solve exceeds 1e-11"
+    if not backward <= RESIDUAL_REL:
+        return None, f"backward error {backward:.1e} of one solve exceeds {RESIDUAL_REL:g}"
     return lu, ""
 
 
@@ -677,14 +681,12 @@ def _parity_forms(sector: sp.csr_matrix, grid: GridSpec
     return forms, phases
 
 
-def mode_census(report: EigenReport, grid: GridSpec, gap_threshold: float,
-                loc_radius: float, loc_min: float) -> tuple[int, list[float], bool]:
+def mode_census(report: EigenReport, gap_threshold: float, loc_radius: float,
+                loc_min: float) -> tuple[int, list[float], bool]:
     """Count localized sub-gap modes; also return their localization fractions
     and whether any eigenvalue sits ambiguously close to the threshold."""
     if gap_threshold <= 0:
         raise ValueError(f"gap threshold must be positive, got {gap_threshold}")
-    if report.grid != grid:
-        raise ShapeError("report grid does not match the requested grid")
     count = 0
     fractions = []
     ambiguous = False
@@ -815,8 +817,8 @@ def witten_index(op_set: DefectOperatorSet, grid: GridSpec,
         if alpha > 0:
             loc_radius = max(grid.L / 2, min(0.7 * grid.L, float(np.sqrt(4.0 / alpha))))
 
-    n_minus, frac_minus, amb_m = mode_census(rm, grid, gap, loc_radius, LOC_MIN)
-    n_plus, frac_plus, amb_p = mode_census(rp, grid, gap, loc_radius, LOC_MIN)
+    n_minus, frac_minus, amb_m = mode_census(rm, gap, loc_radius, LOC_MIN)
+    n_plus, frac_plus, amb_p = mode_census(rp, gap, loc_radius, LOC_MIN)
 
     try:
         winding = winding_number(op_set.mass_entry, grid.L)
@@ -860,12 +862,12 @@ class PairingReport:
 
 
 def pairing_check(rm: EigenReport, rp: EigenReport, cutoff: float,
-                  tol: float = 0.05, gap_threshold: float = 0.5) -> PairingReport:
+                  gap_threshold: float = 0.5) -> PairingReport:
     """Match every H_minus eigenvalue in (gap_threshold, cutoff) to H_plus.
 
-    Greedy nearest-neighbour matching in ascending order; each H_plus
-    eigenvalue is used at most once.  Mismatches are report content, not
-    errors.
+    Greedy nearest-neighbour matching in ascending order, within PAIRING_TOL
+    (absolute); each H_plus eigenvalue is used at most once.  Mismatches are
+    report content, not errors.
     """
     if rm.grid != rp.grid:
         raise ShapeError("pairing requires spectra from the same grid")
@@ -874,7 +876,7 @@ def pairing_check(rm: EigenReport, rp: EigenReport, cutoff: float,
     used = [False] * len(plus_pool)
     pairs, unmatched = [], []
     for lam in minus_vals:
-        best, best_gap = -1, tol
+        best, best_gap = -1, PAIRING_TOL
         for i, mu in enumerate(plus_pool):
             if used[i]:
                 continue
@@ -888,5 +890,5 @@ def pairing_check(rm: EigenReport, rp: EigenReport, cutoff: float,
             unmatched.append(lam)
     leftovers = [v for i, v in enumerate(plus_pool)
                  if not used[i] and gap_threshold < v]
-    return PairingReport(window=(gap_threshold, cutoff), tol=tol, pairs=pairs,
+    return PairingReport(window=(gap_threshold, cutoff), tol=PAIRING_TOL, pairs=pairs,
                          unmatched_minus=unmatched, unmatched_plus=leftovers)

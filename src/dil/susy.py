@@ -19,8 +19,10 @@ On the doubled state space H+ (+) H- the discrete quartet
 
 satisfies the N=2 algebra {Q, Qdag} = Ham, Q^2 = Qdag^2 = 0 structurally,
 and W grades vectors into even (plus) and odd (minus) sectors.  Even
-operators preserve the sectors, odd operators swap them; ``graded_apply``
-enforces that multiplication table on its output.
+operators preserve the sectors, odd operators swap them.  The grading is a
+fact of that layout, so ``parity_classify`` reads an operator's parity off
+its four half-blocks, and ``graded_apply`` enforces the multiplication
+table on its output.
 
 For spectra the partner Hamiltonians are discretized from their symbolic
 compositions adjoint(D) @ D and D @ adjoint(D), never as products of the
@@ -200,31 +202,33 @@ class Parity(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-def parity_classify(a, w, tol: float = 1e-10) -> Parity:
-    """Even if a commutes with the grading, odd if it anticommutes; a zero
-    matrix commutes, and is even."""
-    if a.shape != w.shape:
-        raise ShapeError(f"operator shape {a.shape} does not match grading {w.shape}")
-    scale = max_abs(a)
-    wa = w @ a
-    aw = a @ w
-    if max_abs(wa - aw) <= tol * scale:
+# relative size, against the operator's largest entry, below which a block
+# counts as zero when reading parity, and a leak into the forbidden sector
+# (against the output norm) is tolerated by graded_apply
+PARITY_TOL = 1e-12
+
+
+def parity_classify(a) -> Parity:
+    """Parity of a matrix on H+ (+) H- under the grading W = diag(I, -I).
+
+    With a = [[A, B], [C, D]] in half-blocks, Wa - aW = 2 [[0, B], [-C, 0]]
+    and Wa + aW = 2 [[A, 0], [0, -D]], so a commutes with W (even) when its
+    off-diagonal blocks vanish and anticommutes (odd) when its diagonal
+    blocks do; both are read off the blocks, relative to max|a|.  A zero
+    matrix is even.
+    """
+    rows, cols = a.shape
+    if rows != cols or rows % 2:
+        raise ShapeError(f"parity needs a square matrix of even size, got {a.shape}")
+    if sp.issparse(a):
+        a = a.tocsr()
+    h = rows // 2
+    bound = PARITY_TOL * max_abs(a)
+    if 2.0 * max(max_abs(a[:h, h:]), max_abs(a[h:, :h])) <= bound:
         return Parity.EVEN
-    if max_abs(wa + aw) <= tol * scale:
+    if 2.0 * max(max_abs(a[:h, :h]), max_abs(a[h:, h:])) <= bound:
         return Parity.ODD
     return Parity.INDEFINITE
-
-
-@dataclass(frozen=True)
-class GradedOperator:
-    """Matrix on the doubled space tagged with its Witten parity."""
-
-    matrix: sp.spmatrix | np.ndarray
-    parity: Parity
-
-    @staticmethod
-    def classify(matrix, w, tol: float = 1e-10) -> "GradedOperator":
-        return GradedOperator(matrix, parity_classify(matrix, w, tol))
 
 
 @dataclass(frozen=True)
@@ -262,8 +266,9 @@ class GradedVector:
 
 
 def project(v: GradedVector, sign: int) -> GradedVector:
-    """Apply the parity projector (I + sign*W)/2."""
-    if sign not in (+1, -1):
+    """Apply the parity projector (I + sign*W)/2; a bool is no sign."""
+    if (isinstance(sign, bool) or not isinstance(sign, (int, np.integer))
+            or sign not in (+1, -1)):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if sign == +1:
         return GradedVector(v.plus, Field.zeros(v.grid, v.components))
@@ -277,23 +282,23 @@ def physical_state_embed(pair: Field) -> GradedVector:
     return GradedVector(Field.zeros(pair.grid, 2), pair)
 
 
-def graded_apply(a: GradedOperator, v: GradedVector,
-                 leak_tol: float = 1e-12) -> GradedVector:
-    """Apply a graded operator, enforcing the sector multiplication table.
+def graded_apply(matrix, v: GradedVector) -> GradedVector:
+    """Apply an operator of definite parity, enforcing the sector table.
 
-    The doubled vector is held as the two rows of one (2, half) array, row 0
-    the plus and row 1 the minus sector.  An even operator maps row i to
-    itself, an odd one to row 1 - i.  Each nonzero input row is pushed
-    through separately, and any output leaking into the other row (relative
-    to the output size) raises.
+    The parity is read from the matrix (``parity_classify``).  The doubled
+    vector is held as the two rows of one (2, half) array, row 0 the plus
+    and row 1 the minus sector.  An even operator maps row i to itself, an
+    odd one to row 1 - i.  Each nonzero input row is pushed through
+    separately, and any output leaking into the other row by more than
+    PARITY_TOL of the output size raises.
     """
-    if a.parity is Parity.INDEFINITE:
-        raise ParityError("cannot apply an operator of indefinite parity")
     grid, m = v.grid, v.components
     half = m * grid.num_nodes
-    mat = a.matrix
-    if mat.shape != (2 * half, 2 * half):
-        raise ShapeError(f"operator shape {mat.shape} does not match vector")
+    if matrix.shape != (2 * half, 2 * half):
+        raise ShapeError(f"operator shape {matrix.shape} does not match vector")
+    parity = parity_classify(matrix)
+    if parity is Parity.INDEFINITE:
+        raise ParityError("cannot apply an operator of indefinite parity")
 
     rows = np.stack((v.plus.values, v.minus.values))
     out = np.zeros((2, half), dtype=complex)
@@ -303,16 +308,16 @@ def graded_apply(a: GradedOperator, v: GradedVector,
             continue
         emb = np.zeros((2, half), dtype=complex)
         emb[i] = rows[i]
-        img = np.asarray(mat @ emb.ravel()).reshape(2, half)
-        to = i if a.parity is Parity.EVEN else 1 - i
+        img = np.asarray(matrix @ emb.ravel()).reshape(2, half)
+        to = i if parity is Parity.EVEN else 1 - i
         keep_norm = float(np.linalg.norm(img[to]))
         leak_norm = float(np.linalg.norm(img[1 - to]))
         scale = max(scale, keep_norm, leak_norm)
         worst_leak = max(worst_leak, leak_norm)
         out[to] += img[to]
 
-    if scale > 0.0 and worst_leak > leak_tol * scale:
+    if scale > 0.0 and worst_leak > PARITY_TOL * scale:
         raise ParityError(
-            f"{a.parity.value} operator leaked {worst_leak / scale:.3e} of its "
-            f"output into the forbidden sector (tolerance {leak_tol:g})")
+            f"{parity.value} operator leaked {worst_leak / scale:.3e} of its "
+            f"output into the forbidden sector (tolerance {PARITY_TOL:g})")
     return GradedVector(Field(grid, m, out[0]), Field(grid, m, out[1]))

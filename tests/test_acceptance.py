@@ -13,11 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dil import (BlockOperator, GradedOperator, GradedVector, GridSpec,
-                 IndexParams, ModelSpec, Parity, adjoint, algebra_check,
-                 build_operator_set, compose, convergence_study, crat,
-                 fit_gaussian_decay, graded_apply, localization_fraction,
-                 monomial, perturbation_sweep, project, witten_index)
+from dil import (BlockOperator, GradedVector, GridSpec, IndexParams,
+                 ModelSpec, Parity, adjoint, algebra_check, build_operator_set,
+                 compose, convergence_study, crat, fit_gaussian_decay,
+                 graded_apply, localization_fraction, monomial,
+                 parity_classify, perturbation_sweep, project, witten_index)
 from dil.opcalc import D, DBAR, Z, ZBAR, ZERO
 from dil.selftest import random_block
 
@@ -111,8 +111,8 @@ def test_criterion_06_topological_cross_check(sweep_rows,
 def test_criterion_07_susy_pairing(desk_index):
     from dil import pairing_check
     report = pairing_check(desk_index.minus_report, desk_index.plus_report,
-                           cutoff=2.5, tol=0.05, gap_threshold=0.5)
-    ok = report.all_matched and len(report.pairs) >= 6
+                           cutoff=2.5, gap_threshold=0.5)
+    ok = report.tol == 0.05 and report.all_matched and len(report.pairs) >= 6
     worst = max((abs(a - b) for a, b in report.pairs), default=0.0)
     _record(7, f"every H- eigenvalue in (0.5, 2.5) pairs with H+ within 0.05 "
                f"({len(report.pairs)} pairs, worst gap {worst:.4f})", ok)
@@ -155,15 +155,15 @@ def test_criterion_10_graded_module_table():
         b = (rng.standard_normal((2 * half, 2 * half))
              + 1j * rng.standard_normal((2 * half, 2 * half)))
         mat = 0.5 * (b + w @ b @ w) if rng.random() < 0.5 else 0.5 * (b - w @ b @ w)
-        op = GradedOperator.classify(mat, w, tol=1e-12)
-        ok &= op.parity in (Parity.EVEN, Parity.ODD)
+        parity = parity_classify(mat)  # at PARITY_TOL = 1e-12
+        ok &= parity in (Parity.EVEN, Parity.ODD)
         vec = (rng.standard_normal(2 * half) + 1j * rng.standard_normal(2 * half))
         v = GradedVector.from_vector(grid, m, vec)
         pure = project(v, +1) if rng.random() < 0.5 else project(v, -1)
-        out = graded_apply(op, pure, leak_tol=1e-12)  # raises on leakage
+        out = graded_apply(mat, pure)  # raises on leakage above 1e-12
         in_plus = np.any(pure.plus.values)
         out_plus = bool(np.any(out.plus.values))
-        expect_plus = in_plus == (op.parity is Parity.EVEN)
+        expect_plus = in_plus == (parity is Parity.EVEN)
         forbidden = out.minus if expect_plus else out.plus
         allowed = out.plus if expect_plus else out.minus
         leak = np.linalg.norm(forbidden.values)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dil import (AlgebraReport, ConvergenceReport, EigenReport, FitWindowError,
                  build_susy_quartet, convergence_study, fit_gaussian_decay,
                  gaussian, pairing_check, perturbation_sweep, sample,
                  witten_index)
+from dil import analysis
 from dil.analysis import ALGEBRA_RELATIONS
 
 
@@ -36,10 +38,12 @@ def test_fit_recovers_scaled_two_component_gaussian(desk_grid):
     assert fit.alpha == pytest.approx(0.8, abs=1e-6)
 
 
-def test_fit_window_too_small(desk_grid):
-    f = sample(desk_grid, gaussian(1))
-    with pytest.raises(FitWindowError):
-        fit_gaussian_decay(f, r_min=2.49, r_max=2.5)
+def test_fit_window_too_small():
+    # on GridSpec(5, 8) the annulus 0.5 <= |z| <= 2.5 holds 12 nodes, fewer
+    # than the fit's 30
+    f = sample(GridSpec(5.0, 8), gaussian(1))
+    with pytest.raises(FitWindowError, match="only 12 usable nodes .* at least 30"):
+        fit_gaussian_decay(f)
 
 
 def test_fit_computed_zero_mode_unperturbed(desk_index):
@@ -96,6 +100,20 @@ def test_convergence_study_second_order():
     assert hs == sorted(hs, reverse=True)
 
 
+def test_convergence_warns_when_errors_rise_under_refinement(monkeypatch):
+    # a low_spectrum double whose errors grow as h shrinks
+    def rising(mat, k, *, grid, matrix_id, seed):
+        err = 1e-3 / grid.h
+        return SimpleNamespace(eigenvalues=[err, 1.0 + err])
+
+    monkeypatch.setattr(analysis, "low_spectrum", rising)
+    grids = [GridSpec(4.0, n) for n in (9, 13, 17)]
+    with pytest.warns(UserWarning, match="do not decrease monotonically"):
+        report = convergence_study(grids)
+    assert not report.monotone_smallest and not report.monotone_second
+    assert report.order_smallest == pytest.approx(-1.0)
+
+
 def test_convergence_rejects_degenerate_grid_list():
     g = GridSpec(4.0, 21)
     with pytest.raises(ValueError):
@@ -109,7 +127,7 @@ def test_convergence_rejects_degenerate_grid_list():
 def test_algebra_check_residuals(desk_quartet):
     report = algebra_check(desk_quartet)
     assert set(report.residuals) == set(ALGEBRA_RELATIONS)
-    assert report.passed(1e-12)
+    assert report.passed
     assert report.residuals["W^2-I"] == 0.0
 
 
@@ -121,7 +139,7 @@ def test_algebra_check_detects_corruption(desk_set):
                               Ham=quartet.Ham, W=quartet.W)
     report = algebra_check(corrupted)
     assert report.residuals["{Q,Qdag}-H"] > 1e-6
-    assert not report.passed(1e-12)
+    assert not report.passed
 
 
 def test_algebra_residuals_do_not_depend_on_grid_size():

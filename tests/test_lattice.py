@@ -84,8 +84,10 @@ def test_field_requires_finite_values():
 
 def test_field_refuses_a_bad_shape():
     g = GridSpec(4.0, 8)
-    with pytest.raises(ShapeError, match="at least one component"):
-        Field(g, 0, np.zeros(0))
+    # 2.0 == 2 and True == 1, but neither is a component count
+    for bad, size in ((0, 0), (2.0, 128), (True, 64)):
+        with pytest.raises(ShapeError, match="at least one component"):
+            Field(g, bad, np.zeros(size))
     with pytest.raises(ShapeError, match="expected 64 values"):
         Field(g, 1, np.zeros(63))
     # the same number of nodes on another box

@@ -759,6 +759,12 @@ def test_operator_term_is_immutable(field, value):
 def test_block_operator_refuses_a_bad_shape():
     with pytest.raises(ShapeError, match="positive"):
         BlockOperator(0, 1, ())
+    # 1.0 == True == 1, but neither is a block dimension
+    for bad in (1.0, True):
+        with pytest.raises(ShapeError, match="positive integers"):
+            BlockOperator(bad, 1, (ONE,))
+        with pytest.raises(ShapeError, match="positive integers"):
+            BlockOperator(1, bad, (ONE,))
     with pytest.raises(ShapeError, match="expected 4 entries"):
         BlockOperator(2, 2, (Z, D, Z))
     # six entries in three rows of two, but ragged
@@ -781,6 +787,13 @@ def test_expression_equals_only_an_expression_and_prints_its_rendering():
     e = Z * D + ONE.scale(crat(Fraction(1, 2), -3))
     assert (e == 1) is False and (ONE == 1) is False
     assert str(e) == render_expression(e)
+
+
+def test_a_term_equals_only_a_term():
+    t = OperatorTerm(crat(1), 1)
+    assert t.__eq__(Z) is NotImplemented and t.__eq__(1) is NotImplemented
+    assert (t == Z) is False and (t == 1) is False and t != "z"
+    assert t == OperatorTerm(crat(1), 1)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:

@@ -175,8 +175,6 @@ def test_grid_mismatches_are_refused():
     grid, other = GridSpec(5.0, 8), GridSpec(5.0, 9)
     rep = low_spectrum(sp.identity(grid.num_nodes, format="csr"), 2, grid=grid)
     far = low_spectrum(sp.identity(other.num_nodes, format="csr"), 2, grid=other)
-    with pytest.raises(ShapeError, match="report grid does not match"):
-        mode_census(rep, other, 0.5, other.L / 2, spectral.LOC_MIN)
     with pytest.raises(ShapeError, match="discretized on a different grid"):
         witten_index(build_operator_set(ModelSpec(), grid), other)
     with pytest.raises(ShapeError, match="spectra from the same grid"):
@@ -983,7 +981,7 @@ def test_sparse_solve_releases_free_heap_pages():
 # --------------------------------------------------------------------------
 
 def _count(report, grid, gap_threshold=0.5, loc_min=0.95):
-    return mode_census(report, grid, gap_threshold, grid.L / 2, loc_min)[0]
+    return mode_census(report, gap_threshold, grid.L / 2, loc_min)[0]
 
 
 def test_count_zero_modes_unperturbed(desk_index, desk_grid):
@@ -995,7 +993,7 @@ def test_count_zero_modes_empty_report(desk_grid):
     empty = EigenReport(matrix_id="empty", grid=desk_grid, eigenvalues=[],
                         vectors=[], residuals=[], residual_bound=0.0,
                         hermiticity_defect=0.0)
-    assert mode_census(empty, desk_grid, 0.5, desk_grid.L / 2, 0.95) == (0, [], False)
+    assert mode_census(empty, 0.5, desk_grid.L / 2, 0.95) == (0, [], False)
 
 
 def test_count_zero_modes_stable_on_threshold_plateau(desk_index, desk_grid):
@@ -1012,10 +1010,9 @@ def test_count_zero_modes_monotone_in_threshold(desk_index, desk_grid):
 
 def test_count_zero_modes_warns_near_threshold(desk_index, desk_grid):
     # second eigenvalue sits at ~1.0; a threshold of 0.97 is within 10%
-    census = mode_census(desk_index.minus_report, desk_grid, 0.97, desk_grid.L / 2, 0.95)
+    census = mode_census(desk_index.minus_report, 0.97, desk_grid.L / 2, 0.95)
     assert census[2] is True
-    assert mode_census(desk_index.minus_report, desk_grid, 0.5, desk_grid.L / 2,
-                       0.95)[2] is False
+    assert mode_census(desk_index.minus_report, 0.5, desk_grid.L / 2, 0.95)[2] is False
 
 
 def test_ambiguous_band_is_ten_percent_of_the_threshold(desk_grid):
@@ -1026,7 +1023,7 @@ def test_ambiguous_band_is_ten_percent_of_the_threshold(desk_grid):
         rep = EigenReport(matrix_id="hand", grid=desk_grid, eigenvalues=[lam],
                           vectors=[vec], residuals=[0.0], residual_bound=0.0,
                           hermiticity_defect=0.0)
-        assert mode_census(rep, desk_grid, 0.5, 2.5, 0.95) == (0, [], ambiguous)
+        assert mode_census(rep, 0.5, 2.5, 0.95) == (0, [], ambiguous)
 
 
 @pytest.mark.parametrize("t, radius", [(Fraction(1, 4), 0.7 * 5.0), (4, 5.0 / 2)])
@@ -1213,7 +1210,7 @@ def test_witten_index_json_schema_fields(desk_index):
 
 def test_pairing_of_unperturbed_partners(desk_index):
     report = pairing_check(desk_index.minus_report, desk_index.plus_report,
-                           cutoff=2.5, tol=0.05)
+                           cutoff=2.5)
     assert report.all_matched
     assert len(report.pairs) >= 6  # {1, 1} and the four copies of 2
     for lam, mu in report.pairs:
@@ -1233,7 +1230,7 @@ def test_pairing_perturbed_partners(perturbed_index):
     gap = perturbed_index.gap_threshold
     report = pairing_check(perturbed_index.minus_report,
                            perturbed_index.plus_report,
-                           cutoff=2.0, tol=0.05, gap_threshold=gap)
+                           cutoff=2.0, gap_threshold=gap)
     assert report.all_matched
 
 
@@ -1242,6 +1239,6 @@ def test_pairing_reports_mismatches(desk_index, desk_grid):
                           eigenvalues=[v + 0.3 for v in desk_index.eigenvalues_plus],
                           vectors=[], residuals=[], residual_bound=0.0,
                           hermiticity_defect=0.0)
-    report = pairing_check(desk_index.minus_report, shifted, cutoff=1.5, tol=0.05)
+    report = pairing_check(desk_index.minus_report, shifted, cutoff=1.5)
     assert not report.all_matched
     assert report.unmatched_minus

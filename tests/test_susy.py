@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dil import (BlockOperator, Field, GradedOperator, GradedVector,
+from dil import (BlockOperator, Field, GradedVector,
                  GridSpec, ModelError, ModelSpec, Parity, ParityError,
                  ShapeError, block_gaussian_apply, build_defect_operator,
                  build_operator_set, build_susy_quartet,
@@ -137,9 +137,9 @@ def test_quartet_block_structure_identities(desk_quartet):
 
 def test_quartet_parities(desk_quartet):
     q = desk_quartet
-    assert parity_classify(q.Ham, q.W) is Parity.EVEN
-    assert parity_classify(q.Q, q.W) is Parity.ODD
-    assert parity_classify(q.Q_dag, q.W) is Parity.ODD
+    assert parity_classify(q.Ham) is Parity.EVEN
+    assert parity_classify(q.Q) is Parity.ODD
+    assert parity_classify(q.Q_dag) is Parity.ODD
 
 
 def test_quartet_requires_square_matrix():
@@ -152,23 +152,49 @@ def test_doubled_compact_perturbation_is_odd():
     n = k_mat.shape[0]
     zero = sp.csr_matrix((n, n), dtype=complex)
     doubled = sp.bmat([[zero, k_mat], [zero, zero]], format="csr")
-    w = sp.diags(np.concatenate([np.ones(n), -np.ones(n)])).tocsr()
-    assert parity_classify(doubled, w) is Parity.ODD
+    assert parity_classify(doubled) is Parity.ODD
 
 
 def test_parity_classify_indefinite():
     rng = np.random.default_rng(0)
     half = 6
-    w = _dense_w(half)
     b = rng.standard_normal((2 * half, 2 * half))
-    assert parity_classify(b, w) is Parity.INDEFINITE
+    assert parity_classify(b) is Parity.INDEFINITE
 
 
 def test_parity_classify_refuses_a_shape_mismatch_and_calls_zero_even():
-    with pytest.raises(ShapeError, match="does not match grading"):
-        parity_classify(np.eye(4), _dense_w(3))
-    assert parity_classify(np.zeros((6, 6)), _dense_w(3)) is Parity.EVEN
-    assert parity_classify(sp.csr_matrix((6, 6)), sp.csr_matrix(_dense_w(3))) is Parity.EVEN
+    # no grading diag(I, -I) fits an odd-sized or a non-square matrix
+    for shape in ((5, 5), (4, 6)):
+        with pytest.raises(ShapeError, match="square matrix of even size"):
+            parity_classify(np.eye(*shape))
+        with pytest.raises(ShapeError, match="square matrix of even size"):
+            parity_classify(sp.csr_matrix(shape))
+    assert parity_classify(np.zeros((6, 6))) is Parity.EVEN
+    assert parity_classify(sp.csr_matrix((6, 6))) is Parity.EVEN
+
+
+def test_parity_classify_decides_as_the_grading_products_do():
+    # Wa - aW and Wa + aW are twice a's off-diagonal and diagonal blocks:
+    # the block reading gives the products' decision at PARITY_TOL, on each
+    # side of it, dense and sparse
+    rng = np.random.default_rng(7)
+    half = 4
+    w = _dense_w(half)
+    even, odd = _random_even_odd(rng, half)
+    for base, part in ((even, odd), (odd, even)):
+        for size in (0.0, 0.2e-12, 0.8e-12, 1e-6, 1.0):
+            a = base + size * part
+            scale = np.max(np.abs(a))
+            if np.max(np.abs(w @ a - a @ w)) <= 1e-12 * scale:
+                expected = Parity.EVEN
+            elif np.max(np.abs(w @ a + a @ w)) <= 1e-12 * scale:
+                expected = Parity.ODD
+            else:
+                expected = Parity.INDEFINITE
+            assert parity_classify(a) is expected
+            assert parity_classify(sp.csr_matrix(a)) is expected
+    assert parity_classify(even + 1e-6 * odd) is Parity.INDEFINITE
+    assert parity_classify(odd + 0.2e-12 * even) is Parity.ODD
 
 
 def test_operator_set_needs_a_square_block():
@@ -211,8 +237,11 @@ def test_graded_vector_refuses_mismatched_sectors():
 
 def test_project_refuses_a_sign_that_is_not_one():
     v = GradedVector.from_vector(SMALL, 1, np.ones(2 * SMALL.num_nodes, dtype=complex))
-    with pytest.raises(ValueError, match="sign"):
-        project(v, 0)
+    # True == 1 and 1.0 == 1, but neither is a sign
+    for sign in (0, True, False, 1.0, -1.0):
+        with pytest.raises(ValueError, match="sign"):
+            project(v, sign)
+    assert np.array_equal(project(v, np.int64(-1)).to_vector(), project(v, -1).to_vector())
 
 
 def test_physical_state_embedding():
@@ -243,7 +272,7 @@ def _random_even_odd(rng, half):
     b = rng.standard_normal((2 * half, 2 * half)) + 1j * rng.standard_normal((2 * half, 2 * half))
     even = 0.5 * (b + w @ b @ w)
     odd = 0.5 * (b - w @ b @ w)
-    return even, odd, w
+    return even, odd
 
 
 def test_graded_apply_module_table():
@@ -251,58 +280,63 @@ def test_graded_apply_module_table():
     g = GridSpec(4.0, 8)
     m = 2
     half = m * g.num_nodes
-    even, odd, w = _random_even_odd(rng, half)
-    a_even = GradedOperator.classify(even, w)
-    a_odd = GradedOperator.classify(odd, w)
-    assert a_even.parity is Parity.EVEN
-    assert a_odd.parity is Parity.ODD
+    even, odd = _random_even_odd(rng, half)
+    assert parity_classify(even) is Parity.EVEN
+    assert parity_classify(odd) is Parity.ODD
 
     v = project(_random_graded_vector(rng, g, m), +1)  # pure plus
-    out_even = graded_apply(a_even, v)
+    out_even = graded_apply(even, v)
     assert np.all(out_even.minus.values == 0)
     assert np.any(out_even.plus.values != 0)
 
-    out_odd = graded_apply(a_odd, v)
+    out_odd = graded_apply(odd, v)
     assert np.all(out_odd.plus.values == 0)
     assert np.any(out_odd.minus.values != 0)
 
 
 def test_odd_times_odd_classifies_even():
     rng = np.random.default_rng(3)
-    _, odd, w = _random_even_odd(rng, 32)
-    assert parity_classify(odd @ odd, w) is Parity.EVEN
+    _, odd = _random_even_odd(rng, 32)
+    assert parity_classify(odd @ odd) is Parity.EVEN
 
 
 def test_graded_apply_rejects_indefinite_and_leaky_operators():
     rng = np.random.default_rng(4)
     g = GridSpec(4.0, 8)
     half = 2 * g.num_nodes
-    even, odd, w = _random_even_odd(rng, half)
+    even, odd = _random_even_odd(rng, half)
     v = _random_graded_vector(rng, g)
-    mixed = GradedOperator(even + odd, Parity.INDEFINITE)
-    with pytest.raises(ParityError):
-        graded_apply(mixed, v)
-    # operator tagged even but carrying an odd part leaks across sectors
-    mislabeled = GradedOperator(even + 0.1 * odd, Parity.EVEN)
-    with pytest.raises(ParityError):
-        graded_apply(mislabeled, v)
+    with pytest.raises(ParityError, match="indefinite"):
+        graded_apply(even + odd, v)
+    # reads even: a zero plus block, and a plus -> minus block far below the
+    # tolerance against the minus block; a plus input is then mapped only
+    # across the sectors
+    leaky = np.zeros((2 * half, 2 * half), dtype=complex)
+    leaky[half:, half:] = even[half:, half:]
+    leaky[half:, :half] = 1e-20 * odd[half:, :half]
+    assert parity_classify(leaky) is Parity.EVEN
+    with pytest.raises(ParityError, match="even operator leaked 1.000e[+]00"):
+        graded_apply(leaky, project(v, +1))
+    # the same matrix keeps a minus input in its sector
+    out = graded_apply(leaky, project(v, -1))
+    assert not out.plus.values.any()
+    assert np.allclose(out.minus.values, leaky[half:, half:] @ v.minus.values, atol=1e-12)
 
 
 def test_graded_apply_refuses_a_shape_mismatch():
     rng = np.random.default_rng(6)
     g = GridSpec(4.0, 8)
-    even, _, w = _random_even_odd(rng, 3)
+    even, _ = _random_even_odd(rng, 3)
     with pytest.raises(ShapeError, match="does not match vector"):
-        graded_apply(GradedOperator.classify(even, w), _random_graded_vector(rng, g))
+        graded_apply(even, _random_graded_vector(rng, g))
 
 
 def test_graded_apply_matches_plain_matvec():
     rng = np.random.default_rng(5)
     g = GridSpec(4.0, 8)
     half = 2 * g.num_nodes
-    even, _, w = _random_even_odd(rng, half)
-    a = GradedOperator.classify(even, w)
+    even, _ = _random_even_odd(rng, half)
     v = _random_graded_vector(rng, g)
-    out = graded_apply(a, v)
+    out = graded_apply(even, v)
     direct = even @ v.to_vector()
     assert np.allclose(out.to_vector(), direct, atol=1e-12)
