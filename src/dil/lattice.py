@@ -291,9 +291,18 @@ def discretize(op: BlockOperator, grid: GridSpec) -> sp.csr_matrix:
     entry is imaginary, and complex128 when any term is not (a Wirtinger
     stencil d^c db^d with c != d, a coefficient with an imaginary part or a
     multiplier z^a zb^b with a != b, as in every entry of D).
+
+    Each distinct entry is discretized once per call: equal expressions
+    (one canonical form, so equal by ``==`` and ``hash``) share one block,
+    as the unperturbed partners' diagonal pair and off-diagonal pair do.
+    ``sp.bmat`` copies every block into the result, so no two results, and
+    no result and a block, share an array.
     """
-    blocks = [[discretize_expression(op.entry(i, j), grid)
-               for j in range(op.cols)] for i in range(op.rows)]
+    memo: dict[OperatorExpression, sp.csr_matrix] = {}
+    for e in op.entries:
+        if e not in memo:
+            memo[e] = discretize_expression(e, grid)
+    blocks = [[memo[op.entry(i, j)] for j in range(op.cols)] for i in range(op.rows)]
     out = sp.bmat(blocks, format="csr")
     out.sort_indices()
     return out

@@ -186,7 +186,15 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     duplicate entry summed; on a copy, so the caller's matrix is left as it
     is).  It is symmetrized as (A + A*)/2 and the defect max|A - A*| relative
     to its largest summed entry is recorded; when A and A* share one pattern
-    both are taken entry by entry over their data arrays.  The spectrum of
+    both are taken entry by entry over their data arrays.  A real matrix
+    that is exactly Hermitian (one pattern, data equal to A*'s entry by
+    entry) and holds no stored zero is its own symmetrization bit for bit,
+    as (x + x)/2 = x (short of x + x overflowing, which this also avoids):
+    it is used as it stands, with the defect 0.0, and nothing is added,
+    halved, eliminated or copied.  The caller's matrix is never written, as
+    every later step slices, permutes or multiplies it.  A complex matrix
+    always takes the sum, where the complex product with 0.5 can flip the
+    sign of a zero real or imaginary part.  The spectrum of
     a sector that is a Kronecker sum on the grid comes from two 1-D
     eigenproblems (below).  Any other comes from shift-invert Lanczos
     (ARPACK's Arnoldi for the complex matrices that have to stay complex,
@@ -302,15 +310,20 @@ def low_spectrum(a: sp.spmatrix, k: int, *, grid: GridSpec, matrix_id: str = "",
     adj = a.T.tocsr()
     np.conjugate(adj.data, out=adj.data)
     scale = max(max_abs(a), 1e-300)
-    if np.array_equal(a.indptr, adj.indptr) and np.array_equal(a.indices, adj.indices):
-        defect = max_abs(a.data - adj.data) / scale
-        adj.data += a.data
-        herm = adj
-    else:  # a one-sided entry: the union of both patterns
-        defect = max_abs(a - adj) / scale
-        herm = a + adj
-    herm.data *= 0.5
-    herm.eliminate_zeros()
+    same_pattern = np.array_equal(a.indptr, adj.indptr) and np.array_equal(a.indices, adj.indices)
+    if (same_pattern and a.dtype.kind == "f" and np.array_equal(a.data, adj.data)
+            and a.data.all()):
+        herm, defect = a, 0.0  # its own symmetrization, bit for bit: read, never written
+    else:
+        if same_pattern:
+            defect = max_abs(a.data - adj.data) / scale
+            adj.data += a.data
+            herm = adj
+        else:  # a one-sided entry: the union of both patterns
+            defect = max_abs(a - adj) / scale
+            herm = a + adj
+        herm.data *= 0.5
+        herm.eliminate_zeros()
     if np.iscomplexobj(herm) and not herm.data.imag.any():
         herm = herm.real  # real symmetric as it stands, so solved in float64
     del a, adj

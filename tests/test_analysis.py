@@ -142,6 +142,20 @@ def test_algebra_check_detects_corruption(desk_set):
     assert not report.passed
 
 
+@pytest.mark.parametrize("relative, passed", [(5e-12, False), (1e-14, True)])
+def test_algebra_check_fails_just_above_its_tolerance(relative, passed):
+    # one entry of Q moved by 5e-12 max|Q| reads about 4.9e-12 in
+    # {Q,Qdag}-H on GridSpec(5, 24): above ALGEBRA_TOL = 1e-12, where a
+    # tolerance of 1e-6 would pass it; 1e-14 max|Q| stays below
+    quartet = build_susy_quartet(build_operator_set(ModelSpec(), GridSpec(5.0, 24)).D_mat)
+    bad_q = quartet.Q.tolil()
+    bad_q[0, bad_q.shape[1] // 2 + 3] += relative * analysis.max_abs(quartet.Q)
+    report = algebra_check(type(quartet)(Q=bad_q.tocsr(), Q_dag=quartet.Q_dag,
+                                         Ham=quartet.Ham, W=quartet.W))
+    assert 0.5 * relative <= report.residuals["{Q,Qdag}-H"] <= 2 * relative
+    assert report.passed is passed
+
+
 def test_algebra_residuals_do_not_depend_on_grid_size():
     reports = []
     for n in (12, 24):

@@ -17,7 +17,8 @@ from dil import (BlockOperator, Field, GridSpec, ModelSpec, ShapeError, ZeroFiel
                  operator_set_from_block, sample)
 from dil.lattice import (_axis_power, _multiplier, _wirtinger_matrix,
                          discretize_expression, evaluate, max_abs)
-from dil.opcalc import D, DBAR, ONE, Z, ZBAR, OperatorExpression, OperatorTerm
+from dil.opcalc import D, DBAR, ONE, Z, ZBAR, ZERO, OperatorExpression, OperatorTerm
+from dil.selftest import random_expression
 
 DEFECT = BlockOperator.from_rows([[D, ZBAR], [Z, DBAR]])
 
@@ -241,6 +242,65 @@ def test_discretize_is_linear():
         scale = max(np.max(np.abs(lhs.data)) if lhs.nnz else 0.0, 1.0)
         if diff.nnz:
             assert np.max(np.abs(diff.data)) <= 1e-14 * scale
+
+
+def _counted_discretize_expression(monkeypatch):
+    """Wrap ``lattice.discretize_expression``; the list grows by the
+    expression of each call."""
+    calls = []
+
+    def counted(e, grid):
+        calls.append(e)
+        return discretize_expression(e, grid)
+
+    monkeypatch.setattr("dil.lattice.discretize_expression", counted)
+    return calls
+
+
+def _random_block(rng, pool):
+    """A 2 x 2 block whose four entries are drawn from ``pool``, so that some repeat."""
+    return BlockOperator.from_rows([[rng.choice(pool) for _ in range(2)] for _ in range(2)])
+
+
+def test_discretize_takes_each_distinct_entry_once(monkeypatch):
+    # the unperturbed H_minus has two distinct entries, on the diagonal and
+    # off it, so it takes two discretize_expression calls, not four; a
+    # random block takes one per distinct expression.  The result is the
+    # per-entry assembly, entry by entry and in its dtype
+    grid = GridSpec(4.0, 12)
+    h_minus = build_operator_set(ModelSpec(), grid).H_minus
+    rng = random.Random(17)
+    pool = [ZERO] + [random_expression(rng) for _ in range(3)]
+    blocks = [h_minus] + [_random_block(rng, pool) for _ in range(20)]
+    counts, dtypes = [], set()
+    for block in blocks:
+        ref = sp.bmat([[discretize_expression(block.entry(i, j), grid) for j in range(2)]
+                       for i in range(2)], format="csr")
+        calls = _counted_discretize_expression(monkeypatch)
+        out = discretize(block, grid)
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls)) and set(calls) == set(block.entries)
+        counts.append(len(calls))
+        dtypes.add(out.dtype)
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out.toarray(), ref.toarray())
+    assert counts[0] == 2 and min(counts[1:]) < 4
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+
+def test_discretize_results_share_no_array():
+    # the repeated entries of the unperturbed H_minus are copies in the
+    # result, and two results of one block share no array: writing into the
+    # first block row of one result changes neither its last block row nor
+    # another result
+    grid = GridSpec(4.0, 12)
+    h_minus = build_operator_set(ModelSpec(), grid).H_minus
+    first, second = discretize(h_minus, grid), discretize(h_minus, grid)
+    kept = second.copy()
+    n2 = grid.num_nodes
+    first.data[:first.indptr[n2]] = 7.0
+    assert np.array_equal(first[n2:].toarray(), kept[n2:].toarray())
+    assert np.array_equal(second.toarray(), kept.toarray())
 
 
 def test_discrete_adjoint_matches_symbolic_adjoint_row_by_row():

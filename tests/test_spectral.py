@@ -939,6 +939,96 @@ def test_unperturbed_h_minus_solves_one_sector(monkeypatch):
     assert np.max(np.abs(np.subtract(rep.eigenvalues, exact))) <= 1e-9
 
 
+def _laplacian(grid):
+    """The scalar grid Laplacian, a Kronecker sum of two 1-D second differences."""
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid.n, grid.n)) / (4 * grid.h ** 2)
+    return sp.kronsum(t, t).tocsr()
+
+
+_ROUTES = {
+    # an exactly symmetric float64 matrix on the grid for each route of
+    # low_spectrum, and whether its report shows that route
+    "kronecker": (_laplacian, lambda rep: rep.kron_defect is not None
+                  and rep.sector_offset is None),
+    "swap": (lambda grid: build_operator_set(ModelSpec(), grid).H_minus_mat,
+             lambda rep: rep.kron_defect is not None and rep.sector_offset == 2.0),
+    "parity-split": (lambda grid: _laplacian_plus_inversion(grid, 0.1),
+                     lambda rep: rep.inversion_phase == [1] and len(rep.sector_pairs) == 2),
+    "whole": (_scalar_with_hop(lambda grid: grid.n + 1),
+              lambda rep: rep.kron_defect is None and rep.inversion_phase is None),
+}
+
+
+def _variant(mat, kind):
+    """mat as it is, cast to complex, plus i (K - K^T) with K its upper
+    triangle over 4 (exactly Hermitian), or plus one entry stored on one
+    side only (not Hermitian)."""
+    if kind == "real":
+        return mat
+    if kind == "complex, no imaginary entry":
+        return mat.astype(complex)
+    if kind == "complex Hermitian":
+        upper = sp.triu(mat, 1, format="csr") * 0.25
+        return (mat + 1j * (upper - upper.T)).tocsr()
+    return (mat + sp.csr_matrix(([1e-3], ([0], [2])), shape=mat.shape)).tocsr()
+
+
+_VARIANTS = ["real", "complex, no imaginary entry", "complex Hermitian", "not Hermitian"]
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_low_spectrum_leaves_the_callers_matrix_as_it_is(route, variant):
+    # a real, exactly symmetric matrix in canonical form is used as its own
+    # symmetrization, so every later step reads the caller's arrays; none
+    # of them, nor any other input's, is written
+    grid = GridSpec(5.0, 10)
+    build, shows_route = _ROUTES[route]
+    mat = _variant(build(grid), variant)
+    assert mat.has_canonical_format
+    before = [mat.data.copy(), mat.indices.copy(), mat.indptr.copy()]
+    rep = low_spectrum(mat, 4, grid=grid)
+    if variant == "real":
+        assert shows_route(rep) and rep.hermiticity_defect == 0.0
+    assert (rep.hermiticity_defect > 0.0) == (variant == "not Hermitian")
+    for old, new in zip(before, (mat.data, mat.indices, mat.indptr)):
+        assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+
+
+def _with_stored_zeros(mat, both_sides):
+    """mat with an explicit zero stored at (0, c), c the first column row 0
+    does not hold, and with both_sides at (c, 0) too; canonical still."""
+    coo = mat.tocoo()
+    col = int(np.setdiff1d(np.arange(mat.shape[1]), coo.col[coo.row == 0])[0])
+    rows, cols = [0, col][:1 + both_sides], [col, 0][:1 + both_sides]
+    out = sp.coo_matrix((np.r_[coo.data, np.zeros(len(rows), coo.dtype)],
+                         (np.r_[coo.row, rows], np.r_[coo.col, cols])), shape=mat.shape).tocsr()
+    assert out.nnz == mat.nnz + len(rows) and out.has_canonical_format
+    return out
+
+
+@pytest.mark.parametrize("both_sides", [False, True], ids=["one side", "both sides"])
+@pytest.mark.parametrize("variant", _VARIANTS[:3])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_an_exactly_hermitian_matrix_solves_as_with_a_stored_zero(route, variant, both_sides):
+    # a stored zero sends the matrix through the sum (A + A*)/2 and the
+    # elimination of zeros, over the union of the two patterns (one side)
+    # or over one pattern (both sides); a real matrix without one is its
+    # own symmetrization.  Both give the same report, bit for bit
+    grid = GridSpec(5.0, 10)
+    mat = _variant(_ROUTES[route][0](grid), variant)
+    padded = _with_stored_zeros(mat, both_sides)
+    for seed in (0, 3):
+        plain, summed = (low_spectrum(m, 4, grid=grid, matrix_id="m", seed=seed)
+                         for m in (mat, padded))
+        for f in dataclasses.fields(EigenReport):
+            if f.name == "vectors":
+                assert [v.values.tobytes() for v in plain.vectors] == \
+                    [v.values.tobytes() for v in summed.vectors]
+            else:  # a float's repr is its bits, -0.0 included
+                assert repr(getattr(plain, f.name)) == repr(getattr(summed, f.name)), f.name
+
+
 _HEAP_PROBE = """
 import os
 import numpy as np
